@@ -260,23 +260,12 @@ def _random_measures(rng: np.random.Generator, count: int, atom_count: int = 4):
 
 def _stress_deviations(design: dz.SignalDesign, atoms: np.ndarray,
                        weights: np.ndarray) -> np.ndarray:
-    """|sum alpha_k F_mu(z_k) - target through mu| for a batch of measures."""
-    zvals = design.poles.array
-    combo = np.zeros(atoms.shape[0], dtype=complex)
-    for alpha, z in zip(design.alphas, zvals):
-        combo += alpha * np.sum(weights / (atoms - z), axis=1)
-    if design.mode in (dz.MODE_UNIT, dz.MODE_ZERO_FACTOR):
-        target = np.ones(atoms.shape[0], dtype=complex)
-    elif design.mode == dz.MODE_MOMENTS:
-        target = np.zeros(atoms.shape[0], dtype=complex)
-        for ell, gamma in enumerate(design.gammas):
-            target += gamma * np.sum(weights * atoms ** ell, axis=1)
-    elif design.mode == dz.MODE_FREQUENCY_TARGET:
-        target = np.sum(weights / (atoms - design.z0), axis=1)
-    else:  # derivative target transported through the measure
-        target = (np.sum(weights / (atoms - design.z0) ** 2, axis=1)
-                  - design.alpha0 * np.sum(weights / (atoms - design.z0), axis=1))
-    return np.abs(combo - target)
+    """|sum alpha_k F_mu(z_k) - target through mu| for a batch of measures.
+
+    By linearity in mu this is |sum_j w_j (rational - target)(lambda_j)|.
+    """
+    return np.abs(np.sum(weights * (design.rational_eval(atoms)
+                                    - design.target_eval(atoms)), axis=1))
 
 
 def cmd_design(scenario: dict, out_dir: Path, seed: int) -> Path:
@@ -297,7 +286,6 @@ def cmd_verify(scenario: dict, out_dir: Path, seed: int) -> Path:
     op_dim = int(stress.get("operator_dim", 8))
     op_count = int(stress.get("operator_count", 20))
 
-    lam_star, value = dz.sup_deviation(design)
     rng = np.random.default_rng(seed)
     atoms, weights = _random_measures(rng, measure_count)
     deviations = _stress_deviations(design, atoms, weights)
@@ -305,14 +293,15 @@ def cmd_verify(scenario: dict, out_dir: Path, seed: int) -> Path:
     report = {
         "seed": seed,
         "design": design_report(design),
-        "sup_deviation": {"lambda_star": lam_star, "value": value},
+        "sup_deviation": {"lambda_star": design.lambda_star,
+                          "value": design.epsilon_observed},
         "random_measure_stress": {
             "count": measure_count,
             "max_deviation": float(deviations.max()),
             "within_epsilon": bool(deviations.max() <= design.epsilon + 1e-9),
         },
     }
-    if design.mode in (dz.MODE_UNIT, dz.MODE_MOMENTS, dz.MODE_ZERO_FACTOR):
+    if design.gammas is not None:
         norms = []
         certified = []
         for i in range(op_count):
@@ -380,24 +369,15 @@ def cmd_region(scenario: dict, out_dir: Path, seed: int) -> Path:
     except (ValueError, DegeneratePointError) as exc:
         raise ScenarioError("region", str(exc))
     half_width = 3.0 + abs(z0)
-    xs = np.linspace(-half_width, half_width, n)
-    ys = np.linspace(-half_width, half_width, n)
-    inside = np.zeros((n, n), dtype=bool)
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            inside[i, j] = in_region_H(complex(x, y), region)
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            if not inside[i, j]:
-                continue
-            neighbors = [inside[k, l]
-                         for k, l in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1))
-                         if 0 <= k < n and 0 <= l < n]
-            if not all(neighbors):
-                rows.append((xs[i], ys[j]))
+    axis = np.linspace(-half_width, half_width, n)
+    inside = in_region_H(axis[:, None] + 1j * axis[None, :], region)
+    # a boundary point is inside with an outside four-neighbour; the mesh
+    # edge counts as inside
+    padded = np.pad(inside, 1, constant_values=True)
+    interior = padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:]
+    i, j = np.nonzero(inside & ~interior)
     path = out_dir / "region.csv"
-    write_csv(path, ["x", "y"], rows)
+    write_csv(path, ["x", "y"], zip(axis[i], axis[j]))
     return path
 
 
@@ -425,11 +405,14 @@ def main(argv=None) -> int:
     try:
         scenario = load_scenario(args.scenario)
         seed = args.seed if args.seed is not None else int(scenario.get("seed", 0))
-        if args.grid_size is not None:
-            if args.grid_size < 8:
-                raise ScenarioError("grid-size", "must be at least 8")
-            dz.SUP_GRID_SIZE = args.grid_size
-        result = COMMANDS[args.command](scenario, Path(args.out), seed)
+        if args.grid_size is not None and args.grid_size < 8:
+            raise ScenarioError("grid-size", "must be at least 8")
+        saved_grid_size = dz.SUP_GRID_SIZE
+        dz.SUP_GRID_SIZE = args.grid_size or saved_grid_size
+        try:
+            result = COMMANDS[args.command](scenario, Path(args.out), seed)
+        finally:
+            dz.SUP_GRID_SIZE = saved_grid_size
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

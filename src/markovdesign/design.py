@@ -4,10 +4,20 @@ Given m points z_1..z_m off [-1,1], every design here produces residues
 alpha_k such that the rational function sum alpha_k/(lambda - z_k) tracks a
 target on [-1,1] -- the constant 1, a low-degree polynomial (when moments of
 the measure are known), the resolvent kernel 1/(lambda - z0), or its
-derivative -- with a certified sup-norm error.  The certified bound
-``epsilon`` comes from the closed forms (2/(2 d_min)**m and relatives); the
-measured bound ``epsilon_observed`` comes from a dense Chebyshev grid with
-golden-section refinement, and is always dominated by the certificate.
+derivative -- with a certified sup-norm error.
+
+Every design is one formula: alpha_k = N(z_k)/q'(z_k), where
+q(lambda) = prod_j (lambda - z_j) is the node polynomial, so that
+q'(z_k) = prod_{j != k}(z_k - z_j), and N is the design's numerator.  Only N,
+the target and the certificate differ between designs.  q is always evaluated
+as a product of node differences, never from expanded coefficients
+(Berrut & Trefethen, "Barycentric Lagrange interpolation", SIAM Rev. 46,
+2004).
+
+The certified bound ``epsilon`` comes from the closed forms (2/(2 d_min)**m
+and relatives); the measured bound ``epsilon_observed`` comes from a dense
+Chebyshev grid with golden-section refinement, and is always dominated by the
+certificate.
 """
 
 from __future__ import annotations
@@ -80,6 +90,11 @@ class PoleSet:
         """The monic node polynomial prod (lambda - z_j)."""
         return monic_from_roots(self.points)
 
+    def node(self, lam):
+        """q(lambda) = prod (lambda - z_j) as a product, vectorized over lam."""
+        lam = np.asarray(lam, dtype=complex)
+        return np.prod(lam[..., None] - self.array, axis=-1)
+
     def off_diagonal_products(self) -> np.ndarray:
         """prod_{j != k} (z_k - z_j) for each k."""
         pts = self.array
@@ -102,27 +117,25 @@ class SignalDesign:
     z0: Optional[complex] = None
     convergent: bool = True
     epsilon_observed: float = float("nan")
+    lambda_star: float = float("nan")
     region_diagnostics: Optional[dict] = None
 
     def rational_eval(self, lam):
         """sum_k alpha_k / (lam - z_k), vectorized over lam."""
         lam = np.asarray(lam, dtype=complex)
         z = self.poles.array
-        out = np.sum(self.alphas[:, None] / (lam.reshape(-1)[None, :] - z[:, None]), axis=0)
+        out = (self.alphas[:, None] / (lam.reshape(-1)[None, :] - z[:, None])).sum(axis=0)
         return out.reshape(lam.shape) if lam.ndim else out[0]
 
     def target_eval(self, lam):
-        """The function the rational combination approximates on [-1,1]."""
+        """The function the rational combination approximates on [-1,1]:
+        the polynomial sum gamma_l lambda**l when gammas are set, otherwise
+        k = 1/(lambda - z0), times (k - alpha0) when alpha0 is set."""
         lam = np.asarray(lam, dtype=complex)
-        if self.mode in (MODE_UNIT, MODE_ZERO_FACTOR):
-            return np.ones_like(lam)
-        if self.mode == MODE_MOMENTS:
+        if self.gammas is not None:
             return np.polynomial.polynomial.polyval(lam, self.gammas)
-        if self.mode == MODE_FREQUENCY_TARGET:
-            return 1.0 / (lam - self.z0)
-        if self.mode == MODE_DERIVATIVE_TARGET:
-            return 1.0 / (lam - self.z0) ** 2 - self.alpha0 / (lam - self.z0)
-        raise ValueError(f"unknown mode {self.mode!r}")
+        k = 1.0 / (lam - self.z0)
+        return k if self.alpha0 is None else k * (k - self.alpha0)
 
     def deviation(self, lam):
         """|rational - target| evaluated pointwise on real lam."""
@@ -186,21 +199,20 @@ def sup_deviation(design: SignalDesign, grid_size: int | None = None):
 
 def verify_sup(design: SignalDesign, poles: Optional[PoleSet] = None,
                grid_size: int | None = None) -> float:
-    """Measured sup-norm deviation; stores it in design.epsilon_observed."""
+    """Measured sup-norm deviation; stores it in design.epsilon_observed and
+    its argmax in design.lambda_star."""
     if poles is not None and poles is not design.poles:
         if not np.allclose(poles.array, design.poles.array):
             raise DesignError("pole set inconsistent with design")
-    _, value = sup_deviation(design, grid_size)
-    design.epsilon_observed = value
-    return value
+    design.lambda_star, design.epsilon_observed = sup_deviation(design, grid_size)
+    return design.epsilon_observed
 
 
-def _grid_min_abs_q(q: ComplexPolynomial, grid_size: int | None = None) -> float:
-    """min over the refined grid of |q(lambda)| on [-1,1]."""
-    grid = _lobatto_grid(grid_size or SUP_GRID_SIZE)
-    vals = np.abs(q(grid))
-    _, v = _refined_extremum(lambda x: abs(q(x)), grid, vals, maximize=False)
-    return v
+def _min_abs_q(poles: PoleSet):
+    """argmin and min over the refined grid of |q(lambda)| on [-1,1]."""
+    grid = _lobatto_grid(SUP_GRID_SIZE)
+    vals = np.abs(poles.node(grid))
+    return _refined_extremum(lambda x: abs(poles.node(x)), grid, vals, maximize=False)
 
 
 def _check_convergent(poles: PoleSet) -> bool:
@@ -214,56 +226,53 @@ def _check_convergent(poles: PoleSet) -> bool:
     return True
 
 
+def _design(mode: str, poles: PoleSet, numerator_at_poles: np.ndarray,
+            **fields) -> SignalDesign:
+    """The one residue formula alpha_k = N(z_k)/q'(z_k), then sup verification."""
+    design = SignalDesign(mode=mode, poles=poles,
+                          alphas=numerator_at_poles / poles.off_diagonal_products(),
+                          **fields)
+    verify_sup(design)
+    return design
+
+
 def design_unit(poles: PoleSet) -> SignalDesign:
     """Residues making sum alpha_k/(lambda - z_k) approximate 1 on [-1,1].
 
-    alpha_k = -T_m(z_k) / (2**(m-1) prod_{j != k}(z_k - z_j)), certified by
-    epsilon = 2/(2 d_min)**m.
+    N = -T_m/2**(m-1), certified by epsilon = 2/(2 d_min)**m.
     """
     m = poles.m
-    tvals = np.array([cheb_eval(m, z) for z in poles.points])
-    alphas = -tvals / (2.0 ** (m - 1) * poles.off_diagonal_products())
-    design = SignalDesign(
-        mode=MODE_UNIT,
-        poles=poles,
-        alphas=alphas,
+    return _design(
+        MODE_UNIT, poles, -cheb_eval(m, poles.array) / 2.0 ** (m - 1),
         epsilon=2.0 / (2.0 * poles.d_min) ** m,
         gammas=np.array([1.0 + 0.0j]),
         convergent=_check_convergent(poles),
     )
-    verify_sup(design)
-    return design
 
 
 def design_moments(poles: PoleSet, n: int) -> SignalDesign:
     """Design approximating the moment polynomial sum gamma_l lambda**l.
 
-    Euclidean division of the monic Chebyshev polynomial of degree m+n by the
-    node polynomial q gives the (monic, degree-n) moment polynomial as the
-    quotient and -p as the remainder.  Certificate: 2/(2**n (2 d_min)**m).
+    N = -T_{m+n}/2**(m+n-1): since q(z_k) = 0, the remainder of monic
+    T_{m+n} modulo q takes the same values at the nodes, and the quotient
+    term drops out.  The quotient of that Euclidean division is the (monic,
+    degree-n) moment polynomial.
+    Certificate: 2/(2**n (2 d_min)**m).
     """
     if n < 0:
         raise DesignError("moment count n must be nonnegative")
     m = poles.m
     if m + n > 64:
         raise DesignError(f"m + n = {m + n} exceeds the degree cap 64")
-    q = poles.q()
-    quotient, remainder = poly_divmod(monic_cheb(m + n), q)
-    p = remainder.scale(-1.0)
-    gammas = quotient.array
-    gammas = np.pad(gammas, (0, n + 1 - gammas.size))
+    quotient, _ = poly_divmod(monic_cheb(m + n), poles.q())
+    gammas = np.pad(quotient.array, (0, n + 1 - quotient.array.size))
     gammas[-1] = 1.0  # quotient of two monic polynomials; pin exactly
-    alphas = p(poles.array) / poles.off_diagonal_products()
-    design = SignalDesign(
-        mode=MODE_MOMENTS,
-        poles=poles,
-        alphas=alphas,
+    return _design(
+        MODE_MOMENTS, poles, -cheb_eval(m + n, poles.array) / 2.0 ** (m + n - 1),
         epsilon=2.0 / (2.0 ** n * (2.0 * poles.d_min) ** m),
         gammas=gammas,
         convergent=_check_convergent(poles),
     )
-    verify_sup(design)
-    return design
 
 
 def _validate_target_point(poles: PoleSet, z0: complex) -> complex:
@@ -281,80 +290,62 @@ def _region_diagnostics(poles: PoleSet, z0: complex) -> Optional[dict]:
         spec = RegionSpec(z0=z0, r=1.0)
     except ValueError:
         return None
-    return {k: in_region_H(z, spec) for k, z in enumerate(poles.points)}
+    return dict(enumerate(in_region_H(poles.array, spec).tolist()))
+
+
+def _target_design(mode: str, poles: PoleSet, z0: complex, power: int) -> SignalDesign:
+    """Target designs: b_m = q(z0)/T_{m-1}(z0) makes q - b_m T_{m-1} vanish
+    at z0, N = -b_m T_{m-1}/(lambda - z0)**power, and the certificate is
+    |b_m| / (d0**power * min |q| on [-1,1])."""
+    z0 = _validate_target_point(poles, z0)
+    m = poles.m
+    z = poles.array
+    t_at_z0 = cheb_eval(m - 1, z0)
+    if abs(t_at_z0) <= 1e-12:
+        raise DesignError(f"T_{m - 1}(z0) vanishes at z0 = {z0}: degenerate target")
+    b_m = poles.node(z0) / t_at_z0
+    # q'(z0)/q(z0) = sum_j 1/(z0 - z_j)
+    alpha0 = (np.sum(1.0 / (z0 - z)) - cheb_eval_deriv(m - 1, z0) / t_at_z0
+              if power == 2 else None)
+    return _design(
+        mode, poles, -b_m * cheb_eval(m - 1, z) / (z - z0) ** power,
+        epsilon=abs(b_m) / (segment_distance(z0) ** power * _min_abs_q(poles)[1]),
+        alpha0=alpha0,
+        b_m=b_m,
+        z0=z0,
+        region_diagnostics=_region_diagnostics(poles, z0),
+    )
 
 
 def design_frequency_target(poles: PoleSet, z0: complex) -> SignalDesign:
     """Design approximating the resolvent kernel 1/(lambda - z0).
 
-    b_m = q(z0)/T_{m-1}(z0) makes q - b_m T_{m-1} divisible by
-    (lambda - z0); the residues follow and the certificate is
-    |b_m| / (d0 * min |q| on [-1,1]).
+    N = -b_m T_{m-1}/(lambda - z0) with b_m = q(z0)/T_{m-1}(z0); the
+    certificate is |b_m| / (d0 * min |q| on [-1,1]).
     """
-    z0 = _validate_target_point(poles, z0)
-    m = poles.m
-    q = poles.q()
-    t_at_z0 = cheb_eval(m - 1, z0)
-    if abs(t_at_z0) <= 1e-12:
-        raise DesignError(f"T_{m - 1}(z0) vanishes at z0 = {z0}: degenerate target")
-    b_m = q(z0) / t_at_z0
-    tvals = np.array([cheb_eval(m - 1, z) for z in poles.points])
-    alphas = -b_m * tvals / ((poles.array - z0) * poles.off_diagonal_products())
-    d0 = segment_distance(z0)
-    design = SignalDesign(
-        mode=MODE_FREQUENCY_TARGET,
-        poles=poles,
-        alphas=alphas,
-        epsilon=abs(b_m) / (d0 * _grid_min_abs_q(q)),
-        b_m=b_m,
-        z0=z0,
-        region_diagnostics=_region_diagnostics(poles, z0),
-    )
-    verify_sup(design)
-    return design
+    return _target_design(MODE_FREQUENCY_TARGET, poles, z0, 1)
 
 
 def design_derivative_target(poles: PoleSet, z0: complex) -> SignalDesign:
     """Design approximating d/dz of the resolvent kernel at z0.
 
     The double-root construction forces both the value and the derivative of
-    q(lambda)[1 - alpha0(lambda - z0)] - b_m T_{m-1}(lambda) to vanish at z0;
-    alpha0 is evaluated at z0 accordingly.  The verification target is
+    q(lambda)[1 - alpha0(lambda - z0)] - b_m T_{m-1}(lambda) to vanish at z0,
+    so alpha0 = q'(z0)/q(z0) - T'_{m-1}(z0)/T_{m-1}(z0).
+    N = -b_m T_{m-1}/(lambda - z0)**2, the verification target is
     1/(lambda - z0)**2 - alpha0/(lambda - z0) and the certificate is
     |b_m| / (d0**2 * min |q|).
     """
-    z0 = _validate_target_point(poles, z0)
-    m = poles.m
-    q = poles.q()
-    t_at_z0 = cheb_eval(m - 1, z0)
-    if abs(t_at_z0) <= 1e-12:
-        raise DesignError(f"T_{m - 1}(z0) vanishes at z0 = {z0}: degenerate target")
-    b_m = q(z0) / t_at_z0
-    alpha0 = (q.derivative()(z0) - b_m * cheb_eval_deriv(m - 1, z0)) / q(z0)
-    tvals = np.array([cheb_eval(m - 1, z) for z in poles.points])
-    alphas = -b_m * tvals / ((poles.array - z0) ** 2 * poles.off_diagonal_products())
-    d0 = segment_distance(z0)
-    design = SignalDesign(
-        mode=MODE_DERIVATIVE_TARGET,
-        poles=poles,
-        alphas=alphas,
-        epsilon=abs(b_m) / (d0 ** 2 * _grid_min_abs_q(q)),
-        alpha0=alpha0,
-        b_m=b_m,
-        z0=z0,
-        region_diagnostics=_region_diagnostics(poles, z0),
-    )
-    verify_sup(design)
-    return design
+    return _target_design(MODE_DERIVATIVE_TARGET, poles, z0, 2)
 
 
 def design_with_zero_factor(poles: PoleSet, s: ComplexPolynomial) -> SignalDesign:
     """Unit design with T_m replaced by s(lambda) T_{m-M}(lambda).
 
-    The prescribed monic factor s (degree M < m) shapes the signal; choosing
-    s with a root at a pole drops that frequency entirely.  The certificate
-    has no closed form and is computed numerically as
-    sup |s T_{m-M}/2**(m-M-1)| / min |q| on the refined grid.
+    N = -s T_{m-M}/2**(m-M-1).  The prescribed monic factor s (degree M < m)
+    shapes the signal; choosing s with a root at a pole drops that frequency
+    entirely.  The certificate has no closed form and is computed numerically
+    as sup |N| / min |q| on the refined grid.
     """
     m = poles.m
     M = s.degree
@@ -363,31 +354,25 @@ def design_with_zero_factor(poles: PoleSet, s: ComplexPolynomial) -> SignalDesig
     if not s.is_monic:
         raise DesignError("zero-factor polynomial s must be monic")
     scale = 2.0 ** (m - M - 1)
-    svals = s(poles.array)
-    tvals = np.array([cheb_eval(m - M, z) for z in poles.points])
-    alphas = -svals * tvals / (scale * poles.off_diagonal_products())
-    q = poles.q()
 
     def numerator(lam):
-        return np.abs(s(lam) * cheb_eval(m - M, np.asarray(lam, dtype=complex))) / scale
+        lam = np.asarray(lam, dtype=complex)
+        return s(lam) * cheb_eval(m - M, lam) / scale
 
-    design = SignalDesign(
-        mode=MODE_ZERO_FACTOR,
-        poles=poles,
-        alphas=alphas,
+    design = _design(
+        MODE_ZERO_FACTOR, poles, -numerator(poles.array),
         epsilon=float("nan"),
         gammas=np.array([1.0 + 0.0j]),
         convergent=_check_convergent(poles),
     )
-    lam_star, observed = sup_deviation(design)
-    design.epsilon_observed = observed
     # numerical certificate: candidates include the deviation argmax so the
     # certificate dominates the observation by construction
     grid = _lobatto_grid(SUP_GRID_SIZE)
-    num_x, _ = _refined_extremum(lambda x: float(numerator(x)), grid, numerator(grid))
-    den_x, _ = _refined_extremum(lambda x: abs(q(x)), grid, np.abs(q(grid)), maximize=False)
-    cands = np.concatenate([grid, [lam_star, num_x, den_x]])
-    design.epsilon = float(np.max(numerator(cands)) / np.min(np.abs(q(cands))))
+    num_x, _ = _refined_extremum(lambda x: abs(numerator(x)), grid, np.abs(numerator(grid)))
+    den_x, _ = _min_abs_q(poles)
+    cands = np.concatenate([grid, [design.lambda_star, num_x, den_x]])
+    design.epsilon = float(np.max(np.abs(numerator(cands)))
+                           / np.min(np.abs(poles.node(cands))))
     return design
 
 

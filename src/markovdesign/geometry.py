@@ -72,19 +72,17 @@ class RegionSpec:
             raise ValueError(f"r={self.r} must be < R={self.R}")
 
 
-def in_region_H(z, spec: RegionSpec) -> bool:
+def in_region_H(z, spec: RegionSpec):
     """Membership in H(r) = H1 union H2 union H3 around spec.z0.
 
-    Boundary points (equality in the defining inequalities) count as inside.
+    Elementwise over arrays; a bool for a scalar.  Boundary points (equality
+    in the defining inequalities) count as inside.
     """
-    z = complex(z)
-    z0, r = spec.z0, spec.r
-    d = abs(z - z0)
+    z = np.asarray(z, dtype=complex)
+    r = spec.r
+    d = np.abs(z - spec.z0)
     x = z.real
-    if x <= -1.0 and d <= r * abs(z + 1.0):
-        return True
-    if -1.0 <= x <= 1.0 and d <= r * abs(z.imag):
-        return True
-    if x >= 1.0 and d <= r * abs(z - 1.0):
-        return True
-    return False
+    inside = (((x <= -1.0) & (d <= r * np.abs(z + 1.0)))
+              | ((-1.0 <= x) & (x <= 1.0) & (d <= r * np.abs(z.imag)))
+              | ((x >= 1.0) & (d <= r * np.abs(z - 1.0))))
+    return bool(inside) if inside.ndim == 0 else inside

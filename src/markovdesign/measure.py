@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import PoleSet, SignalDesign, sup_deviation
+from .design import SignalDesign, sup_deviation
 from .geometry import ON_SEGMENT_TOL, segment_distance
 
 MASS_TOL = 1e-12
@@ -85,7 +85,7 @@ def moments(mu: DiscreteMeasure, n: int) -> np.ndarray:
     return powers @ mu.weight_array
 
 
-def worst_case_point_mass(design: SignalDesign, poles: PoleSet | None = None):
+def worst_case_point_mass(design: SignalDesign):
     """The point mass attaining the sup deviation.
 
     Returns (lambda_star, deviation); matches verify_sup by sharing its

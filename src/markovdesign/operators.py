@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import MODE_MOMENTS, MODE_UNIT, MODE_ZERO_FACTOR, SignalDesign
+from .design import SignalDesign
 
 DIM_CAP = 64
 HERMITIAN_TOL = 1e-12
@@ -67,23 +67,17 @@ def random_hermitian_in_spectrum(dim: int, seed: int) -> HermitianOperator:
     return HermitianOperator(entries=tuple(map(tuple, a.tolist())))
 
 
-def _target_gammas(design: SignalDesign) -> np.ndarray:
-    if design.mode in (MODE_UNIT, MODE_ZERO_FACTOR):
-        return np.array([1.0 + 0.0j])
-    if design.mode == MODE_MOMENTS:
-        return np.asarray(design.gammas, dtype=complex)
-    raise OperatorError(f"mode {design.mode!r} has no polynomial operator target")
-
-
 def resolvent_combination(A: HermitianOperator, design: SignalDesign) -> np.ndarray:
     """sum_k alpha_k (A - z_k I)^{-1} - sum_l gamma_l A^l via dense solves."""
+    if design.gammas is None:
+        raise OperatorError(f"mode {design.mode!r} has no polynomial operator target")
     a = A.matrix
     eye = np.eye(A.dim, dtype=complex)
     out = np.zeros_like(a)
     for alpha, z in zip(design.alphas, design.poles.points):
         out += alpha * np.linalg.solve(a - z * eye, eye)
     power = eye.copy()
-    for gamma in _target_gammas(design):
+    for gamma in design.gammas:
         out -= gamma * power
         power = power @ a
     return out

@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import markovdesign.design
 from markovdesign import cli
+from markovdesign.measure import DiscreteMeasure, markov_eval, moments
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -109,6 +111,11 @@ class TestDesignCommand:
         assert len(report["gammas"]) == 2
         assert report["gammas"][1] == [1.0, 0.0]
 
+    def test_grid_size_override_is_restored(self, tmp_path):
+        assert run("design", str(SCENARIO_DIR / "fig4_dielectric.json"), tmp_path,
+                   "--grid-size", "16") == 0
+        assert markovdesign.design.SUP_GRID_SIZE == 4096
+
     def test_target_mode_via_omega0(self, tmp_path):
         obj = dict(BASE, design={"mode": "frequency_target", "omega0": [0.0, 0.7]})
         path = write_scenario(tmp_path, obj)
@@ -119,7 +126,47 @@ class TestDesignCommand:
         assert "b_m" in report
 
 
+ALL_MODES = {
+    "unit": {"mode": "unit"},
+    "moments": {"mode": "moments", "n": 2},
+    "frequency_target": {"mode": "frequency_target", "omega0": [0.0, 0.7]},
+    "derivative_target": {"mode": "derivative_target", "omega0": [0.0, 0.7]},
+    # s(lambda) = lambda - z_1 drops the first frequency
+    "zero_factor": {"mode": "zero_factor", "coeffs": [[-2.5, -0.5], [1.0, 0.0]]},
+}
+
+
 class TestVerifyCommand:
+    @pytest.mark.parametrize("mode", sorted(ALL_MODES))
+    def test_stress_matches_per_measure_sum(self, tmp_path, mode):
+        count = 40
+        obj = dict(BASE, design=ALL_MODES[mode],
+                   stress={"measure_count": count, "operator_count": 2})
+        path = write_scenario(tmp_path, obj)
+        assert run("verify", path, tmp_path) == 0
+        report = json.loads((tmp_path / "verify.json").read_text())
+        d = report["design"]
+        z = [complex(*p) for p in d["z_points"]]
+        alphas = [complex(*p) for p in d["alphas"]]
+        atoms, weights = cli._random_measures(np.random.default_rng(BASE["seed"]), count)
+        deviations = []
+        for lam, w in zip(atoms, weights):
+            mu = DiscreteMeasure(atoms=tuple(lam), weights=tuple(w))
+            combo = sum(a * markov_eval(mu, zk) for a, zk in zip(alphas, z))
+            if "gammas" in d:
+                gammas = [complex(*g) for g in d["gammas"]]
+                target = np.dot(gammas, moments(mu, len(gammas) - 1))
+            else:
+                z0 = complex(*d["z0"])
+                target = markov_eval(mu, z0)
+                if "alpha0" in d:
+                    target = (np.sum(mu.weight_array / (mu.atom_array - z0) ** 2)
+                              - complex(*d["alpha0"]) * target)
+            deviations.append(abs(combo - target))
+        stress = report["random_measure_stress"]
+        assert stress["max_deviation"] == pytest.approx(max(deviations), rel=1e-9, abs=1e-13)
+        assert stress["within_epsilon"] is True
+
     def test_deterministic_reports(self, tmp_path):
         path = write_scenario(tmp_path, BASE)
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -165,6 +165,15 @@ class TestDesignMoments:
                                     int(rng.integers(0, 4)))
             assert design.epsilon_observed <= design.epsilon + 1e-9
 
+    @pytest.mark.parametrize("m,n", [(40, 8), (48, 2), (48, 8)])
+    def test_large_m_certificate_holds(self, m, n):
+        # ellipse family 1.9 cos(theta) + 0.9i sin(theta); epsilon is about
+        # 1.7e-10 at (48, 8), so the check takes no absolute slack
+        theta = 2.0 * np.pi * np.arange(m) / m + 0.1
+        poles = PoleSet(points=tuple(1.9 * np.cos(theta) + 0.9j * np.sin(theta)))
+        design = design_moments(poles, n)
+        assert design.epsilon_observed <= design.epsilon
+
 
 class TestFrequencyTarget:
     Z0 = 0.308824 - 0.764706j
