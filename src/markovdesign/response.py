@@ -14,11 +14,19 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .design import SignalDesign
 from .geometry import segment_distance
 from .measure import DiscreteMeasure, markov_eval
+
+
+# Batched golden-section search of the bound multipliers; the step count only
+# sets how tight the bounds are, never whether they hold.
+_GOLDEN_STEPS = 45
+_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+# No bound solves a linear program; the name stays, always None, because the
+# perfbench tracer counts calls to ``response.linprog``.
+linprog = None
 
 
 class SingularFrequencyError(ValueError):
@@ -202,6 +210,25 @@ def _check_moment_feasibility(known_moments: Sequence[float]):
             raise InfeasibleMomentsError(f"M2 = {m2} violates M1^2 <= M2 <= 1")
 
 
+def _golden_max(f, half_width):
+    """Maximizes a concave f over [-half_width, half_width], one row per time,
+    by a batched golden-section search with one evaluation of f per step;
+    returns the best value evaluated.  A zero range has nothing to search."""
+    if not np.any(half_width):
+        return f(half_width)
+    lo, hi = -half_width, half_width
+    a, b = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    fa, fb = f(a), f(b)
+    for _ in range(_GOLDEN_STEPS):
+        left = fa >= fb
+        lo, hi = np.where(left, lo, a), np.where(left, b, hi)
+        x = np.where(left, hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo))
+        fx = f(x)
+        a, b = np.where(left, x, b), np.where(left, a, x)
+        fa, fb = np.where(left, fx, fb), np.where(left, fa, fx)
+    return np.maximum(fa, fb)
+
+
 def response_bounds(design: SignalDesign, model: SystemModel,
                     omegas: Sequence[complex], known_moments: Sequence[float],
                     theta: float, grid: TimeGrid,
@@ -209,12 +236,20 @@ def response_bounds(design: SignalDesign, model: SystemModel,
     """Pointwise-in-time bounds on Re[e^{i theta} v(t)] over all probability
     measures with the prescribed moments.
 
-    For each t the integrand g_t(lambda) is linear in the measure, so the
-    extremum is attained by measures supported on few atoms; here the measure
-    is optimized over a dense atom grid by linear programming (M2, when
-    prescribed, is relaxed by the grid's mean-preserving split tolerance) and
-    the result is rounded outward by an interpolation-error estimate, so the
-    reported interval encloses every admissible measure, on or off the grid.
+    Re[e^{i theta} v(t)] / a0 is the integral of
+    g_t(lambda) = Re sum_k c_k(t) / (lambda - z_k) against the measure.  With
+    u = lambda - M1 and w = u^2 - (M2 - M1^2), whose integrals vanish for every
+    admissible measure, weak duality gives for any multipliers s and c
+
+        int g_t dmu >= min over [-1,1] of (g_t - s u - c w),
+
+    and that minimum is at least the minimum over the atom grid less the
+    interpolation error (max|g_t''| + 2|c|) h^2 / 8 of one cell.  Each bound
+    is thus valid for any multipliers, on or off the grid; a batched
+    golden-section search picks them, which affects only how tight the bounds
+    are.  Unknown moments keep their multipliers at 0, so with no moments the
+    lower bound is the grid minimum of g_t less the interpolation error.  The
+    upper bound is minus the lower bound of -g_t.
 
     Returns (lower, upper) arrays aligned with grid.times, including the a0
     scale.
@@ -227,40 +262,26 @@ def response_bounds(design: SignalDesign, model: SystemModel,
     h = lam[1] - lam[0]
     dists = np.array([segment_distance(z) for z in zvals])
 
-    a_eq = [np.ones_like(lam)]
-    b_eq = [1.0]
-    if n >= 1:
-        a_eq.append(lam)
-        b_eq.append(float(known_moments[0]))
-    a_ub = b_ub = None
-    if n == 2:
-        # mean-preserving splits perturb lambda**2 by at most h**2/4
-        m2 = float(known_moments[1])
-        slack = h ** 2 / 4.0
-        a_ub = np.vstack([lam ** 2, -lam ** 2])
-        b_ub = np.array([m2 + slack, -(m2 - slack)])
-    a_eq = np.vstack(a_eq)
-    b_eq = np.array(b_eq)
+    # c_k(t) as a (T, m) array; g_t(lambda) as (T, N) in real arithmetic
+    coeffs = ((design.alphas * np.exp(1j * theta))[:, None]
+              * _phases(omegas, grid.times, grid.t0)).T
+    inv = 1.0 / (lam[None, :] - zvals[:, None])
+    g = coeffs.real @ inv.real - coeffs.imag @ inv.imag
+    slope = np.abs(coeffs) @ dists ** -2.0  # bounds |g_t'|
+    curvature = 2.0 * np.abs(coeffs) @ dists ** -3.0  # bounds |g_t''|
+    m1, m2 = (*known_moments, 0.0, 0.0)[:2]
+    basis = np.stack([lam - m1, (lam - m1) ** 2 - (m2 - m1 * m1)])  # u and w
 
-    times = grid.times
-    lower = np.empty_like(times)
-    upper = np.empty_like(times)
-    for i, t in enumerate(times):
-        coeffs = design.alphas * np.exp(1j * theta) * np.exp(-1j * omegas * (t - grid.t0))
-        g = np.sum((coeffs[:, None] / (lam[None, :] - zvals[:, None])).real, axis=0)
-        # outward rounding: quadratic interpolation error of g on one cell
-        curvature = 2.0 * np.sum(np.abs(coeffs) / dists ** 3)
-        pad = curvature * h ** 2 / 8.0
-        if n == 0:
-            lo, hi = float(g.min()), float(g.max())
-        else:
-            res_lo = linprog(g, A_eq=a_eq, b_eq=b_eq, A_ub=a_ub, b_ub=b_ub,
-                             bounds=(0, None), method="highs")
-            res_hi = linprog(-g, A_eq=a_eq, b_eq=b_eq, A_ub=a_ub, b_ub=b_ub,
-                             bounds=(0, None), method="highs")
-            if not (res_lo.success and res_hi.success):
-                raise InfeasibleMomentsError("moment constraints infeasible on the atom grid")
-            lo, hi = float(res_lo.fun), float(-res_hi.fun)
-        lower[i] = model.a0 * (lo - pad)
-        upper[i] = model.a0 * (hi + pad)
-    return lower, upper
+    def certified(s, c):
+        residual = np.column_stack((s, c)) @ basis
+        np.subtract(g, residual, out=residual)  # a second (T, N) temporary was 5x slower
+        return residual.min(axis=1) - (curvature + 2.0 * np.abs(c)) * h * h / 8.0
+
+    def best_over_s(c):
+        # |(g_t - c w)'| <= slope + 4|c| bounds the useful range of s
+        return _golden_max(lambda s: certified(s, c), (n >= 1) * (slope + 4.0 * np.abs(c)))
+
+    lower = _golden_max(best_over_s, (n == 2) * curvature)
+    np.negative(g, out=g)
+    upper = -_golden_max(best_over_s, (n == 2) * curvature)
+    return model.a0 * lower, model.a0 * upper

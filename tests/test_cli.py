@@ -192,6 +192,24 @@ class TestVerifyCommand:
         assert report["random_measure_stress"]["within_epsilon"] is True
         assert report["operator_sweep"]["all_certified"] is True
 
+    def test_flags_agree_with_epsilon_below_rounding_floor(self, tmp_path):
+        # 48 poles z_k on the ellipse 1.9 cos + 0.9i sin through the
+        # lossy-dielectric map: the moments(8) certificate epsilon ~ 1.7e-10 is
+        # smaller than its float64 rounding error, so an absolute slack of
+        # 1e-9 would report any deviation as within it
+        theta = 2.0 * np.pi * np.arange(48) / 48 + 0.1
+        omegas = 1j / (1.9 * np.cos(theta) + 0.9j * np.sin(theta) - 2.0)
+        obj = dict(BASE, frequencies=[[w.real, w.imag] for w in omegas],
+                   design={"mode": "moments", "n": 8},
+                   stress={"measure_count": 200, "operator_count": 3})
+        path = write_scenario(tmp_path, obj)
+        assert run("verify", path, tmp_path) == 0
+        report = json.loads((tmp_path / "verify.json").read_text())
+        held = report["design"]["epsilon"] * (1.0 + 1e-12)
+        stress, sweep = report["random_measure_stress"], report["operator_sweep"]
+        assert stress["within_epsilon"] is (stress["max_deviation"] <= held)
+        assert sweep["all_certified"] is (sweep["max_norm"] <= held)
+
 
 class TestSimulateCommand:
     def test_csv_shape_and_header(self, tmp_path):

@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from markovdesign import cli
 from markovdesign.design import PoleSet, design_moments, design_unit
+from markovdesign.geometry import segment_distance
 from markovdesign.measure import DiscreteMeasure, markov_eval, random_measure_with_moments
 from markovdesign.response import (
     InfeasibleMomentsError,
@@ -20,12 +24,33 @@ from markovdesign.response import (
 
 OMEGAS = np.array([1.0 + 1.0j, 0.5 + 0.3j, 2.0 + 0.5j])
 MU = DiscreteMeasure(atoms=(-0.5, 0.5), weights=(0.1, 0.9))
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+ATOMS = np.linspace(-1.0, 1.0, 2049)  # the default atom grid of response_bounds
 
 
 def dielectric_setup(a0=0.6):
     model = SystemModel.lossy_dielectric(a0)
     poles = PoleSet(points=tuple(model_z(model, w) for w in OMEGAS))
     return model, design_unit(poles)
+
+
+def scenario_setup(name):
+    scenario = cli.load_scenario(str(SCENARIO_DIR / f"{name}.json"))
+    model = cli.build_model(scenario)
+    omegas = cli.parse_frequencies(scenario)
+    design = cli.build_design(scenario, model, omegas)
+    return model, omegas, design, cli.build_grid(scenario)
+
+
+def integrand(design, omegas, theta, times, t0):
+    """g_t(lambda) = Re sum_k c_k(t) / (lambda - z_k) on ATOMS, one row per
+    time, with the scales a0 multiplies: sum_k |c_k(t)| / d_k (magnitude) and
+    sum_k |c_k(t)| / d_k**3 (curvature)."""
+    z = design.poles.array
+    coeffs = design.alphas * np.exp(1j * theta) * np.exp(-1j * np.outer(times - t0, omegas))
+    g = (coeffs[:, :, None] / (ATOMS[None, None, :] - z[None, :, None])).real.sum(axis=1)
+    d = np.array([segment_distance(zk) for zk in z])
+    return g, np.abs(coeffs) @ (1.0 / d), np.abs(coeffs) @ (1.0 / d ** 3)
 
 
 class TestMaxwellPhase:
@@ -216,3 +241,55 @@ class TestResponseBounds:
         target = model.a0 * (design.gammas[0].real + design.gammas[1].real * 0.4)
         assert lower[i0] <= target <= upper[i0]
         assert upper[i0] - lower[i0] <= 2 * model.a0 * design.epsilon + 1e-6
+
+    @pytest.mark.parametrize("known, atoms, weights", [
+        ([1.0], (1.0,), (1.0,)),
+        ([-1.0], (-1.0,), (1.0,)),
+        ([0.4, 0.16], (0.4,), (1.0,)),
+        ([0.0, 1.0], (-1.0, 1.0), (0.5, 0.5)),
+    ])
+    def test_degenerate_moments_enclose_the_only_measure(self, known, atoms, weights):
+        model, design = dielectric_setup()
+        lower, upper = response_bounds(design, model, OMEGAS, known, 0.0, self.GRID)
+        mu = DiscreteMeasure(atoms=atoms, weights=weights)
+        v = simulate_response(design, model, OMEGAS, mu, self.GRID).real
+        _, _, curvature = integrand(design, OMEGAS, 0.0, self.GRID.times, self.GRID.t0)
+        assert np.all(lower <= v) and np.all(v <= upper)
+        assert np.all(upper - lower <= 2e-6 * model.a0 * curvature)
+
+    @pytest.mark.parametrize("name, t", [("fig6_freq_target", -3.5), ("fig5_plasma", -5.2)])
+    def test_envelope_encloses_grid_extremum(self, name, t):
+        # the exact extremum over the atom grid with first moment M1 is a
+        # two-atom measure lam_i < M1 < lam_j: a chord of g between them
+        model, omegas, design, grid = scenario_setup(name)
+        m1 = 0.4
+        lower, upper = response_bounds(design, model, omegas, [m1], 0.0, grid)
+        i = int(np.argmin(np.abs(grid.times - t)))
+        g, magnitude, _ = integrand(design, omegas, 0.0, grid.times[i:i + 1], grid.t0)
+        left, right = ATOMS < m1, ATOMS > m1
+        la, lb = ATOMS[left][:, None], ATOMS[right][None, :]
+        chord = (g[0, left][:, None] * (lb - m1) + g[0, right][None, :] * (m1 - la)) / (lb - la)
+        tol = 1e-12 * model.a0 * magnitude[0]
+        assert lower[i] <= model.a0 * chord.min() + tol
+        assert upper[i] >= model.a0 * chord.max() - tol
+
+    @pytest.mark.parametrize("known", [[0.4], [0.4, 0.3]])
+    @pytest.mark.parametrize("theta", [0.0, np.pi / 2])
+    def test_bounds_match_grid_linear_program(self, known, theta):
+        # weak duality makes the bounds valid; the primal LP over the same
+        # atom grid pins how tight they are
+        from scipy.optimize import linprog
+
+        model, omegas, design, _ = scenario_setup("fig4_dielectric")
+        grid = TimeGrid(t_start=-8.0, t_end=2.0, steps=11, t0=0.0)
+        lower, upper = response_bounds(design, model, omegas, known, theta, grid)
+        g, _, curvature = integrand(design, omegas, theta, grid.times, grid.t0)
+        a_eq = np.vstack([ATOMS ** p for p in range(len(known) + 1)])
+        b_eq = [1.0, *known]
+        for i in range(grid.steps):
+            lo = linprog(g[i], A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+            hi = linprog(-g[i], A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+            assert lo.success and hi.success
+            tol = 1e-6 * model.a0 * curvature[i]
+            assert abs(lower[i] - model.a0 * lo.fun) <= tol
+            assert abs(upper[i] + model.a0 * hi.fun) <= tol
