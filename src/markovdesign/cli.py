@@ -184,10 +184,12 @@ def _moment_cases(scenario: dict):
         known = case.get("known", [])
         if not isinstance(known, list) or len(known) > 2:
             raise ScenarioError(f"{path}.known", "need at most two known moments")
-        if known and abs(known[0]) > 1.0:
-            raise ScenarioError(f"{path}.known[0]", f"|M1| = {abs(known[0])} exceeds 1")
-        if len(known) == 2 and not known[0] ** 2 <= known[1] <= 1.0:
-            raise ScenarioError(f"{path}.known[1]", "M2 must satisfy M1^2 <= M2 <= 1")
+        for k in range(len(known)):
+            # the first prefix the library rejects names the offending moment
+            try:
+                rz._check_moment_feasibility(known[:k + 1])
+            except (rz.InfeasibleMomentsError, TypeError) as exc:
+                raise ScenarioError(f"{path}.known[{k}]", str(exc)) from None
         parsed.append({
             "label": case.get("label", f"case{i}"),
             "known": [float(v) for v in known],

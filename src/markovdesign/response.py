@@ -20,10 +20,14 @@ from .geometry import segment_distance
 from .measure import DiscreteMeasure, markov_eval
 
 
-# Batched golden-section search of the bound multipliers; the step count only
-# sets how tight the bounds are, never whether they hold.
+# Batched golden-section search over c, the M2 multiplier; an exchange picks
+# the M1 multiplier s for each trial c.  The step count only sets how tight the
+# bounds are, never whether they hold.
 _GOLDEN_STEPS = 45
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+# The exchange reaches the grid optimum in about six passes; the cap only ends
+# a support that keeps changing on ties.
+_EXCHANGE_PASSES = 64
 # No bound solves a linear program; the name stays, always None, because the
 # perfbench tracer counts calls to ``response.linprog``.
 linprog = None
@@ -202,7 +206,7 @@ def _check_moment_feasibility(known_moments: Sequence[float]):
     n = len(known_moments)
     if n > 2:
         raise InfeasibleMomentsError("at most two moments (M1, M2) are supported")
-    if n >= 1 and abs(known_moments[0]) > 1.0:
+    if n >= 1 and not abs(known_moments[0]) <= 1.0:  # NaN too
         raise InfeasibleMomentsError(f"|M1| = {abs(known_moments[0])} exceeds 1")
     if n == 2:
         m1, m2 = known_moments
@@ -245,11 +249,19 @@ def response_bounds(design: SignalDesign, model: SystemModel,
 
     and that minimum is at least the minimum over the atom grid less the
     interpolation error (max|g_t''| + 2|c|) h^2 / 8 of one cell.  Each bound
-    is thus valid for any multipliers, on or off the grid; a batched
-    golden-section search picks them, which affects only how tight the bounds
-    are.  Unknown moments keep their multipliers at 0, so with no moments the
-    lower bound is the grid minimum of g_t less the interpolation error.  The
-    upper bound is minus the lower bound of -g_t.
+    is thus valid for any multipliers, on or off the grid; how they are
+    picked affects only how tight the bounds are.  A batched golden-section
+    search picks c.  For each c an exchange picks s: with one moment the
+    extremal measure has one atom a with u <= 0 and one atom b with u > 0, so
+    s is the chord slope of g_t - c w through them.  Starting from the atoms
+    next to M1, each pass sets s to that slope and moves a and b to the
+    minima of the residual on their sides.  The first chord may lie past the
+    optimum, so the second pass can fall; from then on the value rises until
+    the support settles, and the exchange stops once no time step's value
+    rises with a changed support.  Unknown moments zero their rows of
+    u and w, so with no moments the lower bound is the grid minimum of g_t
+    less the interpolation error.  The upper bound is minus the lower bound
+    of -g_t.
 
     Returns (lower, upper) arrays aligned with grid.times, including the a0
     scale.
@@ -262,26 +274,48 @@ def response_bounds(design: SignalDesign, model: SystemModel,
     h = lam[1] - lam[0]
     dists = np.array([segment_distance(z) for z in zvals])
 
-    # c_k(t) as a (T, m) array; g_t(lambda) as (T, N) in real arithmetic
+    # c_k(t) as a (T, m) array
     coeffs = ((design.alphas * np.exp(1j * theta))[:, None]
               * _phases(omegas, grid.times, grid.t0)).T
-    inv = 1.0 / (lam[None, :] - zvals[:, None])
-    g = coeffs.real @ inv.real - coeffs.imag @ inv.imag
-    slope = np.abs(coeffs) @ dists ** -2.0  # bounds |g_t'|
     curvature = 2.0 * np.abs(coeffs) @ dists ** -3.0  # bounds |g_t''|
     m1, m2 = (*known_moments, 0.0, 0.0)[:2]
-    basis = np.stack([lam - m1, (lam - m1) ** 2 - (m2 - m1 * m1)])  # u and w
-
-    def certified(s, c):
-        residual = np.column_stack((s, c)) @ basis
-        np.subtract(g, residual, out=residual)  # a second (T, N) temporary was 5x slower
-        return residual.min(axis=1) - (curvature + 2.0 * np.abs(c)) * h * h / 8.0
+    # The atoms at or left of M1 and those right of it as two contiguous
+    # blocks, neither empty (at M1 = 1 the right one is the atom at 1): atoms,
+    # [u; w], g_t as (T, N_block) and a residual buffer.  A pass reuses the
+    # buffers, and argmin over a column slice would copy it.
+    split = min(max(int(np.searchsorted(lam, m1, side="right")), 1), lam.size - 1)
+    blocks = []
+    for atoms in (lam[:split], lam[split:]):
+        u = (atoms - m1) * (n >= 1)
+        inv = 1.0 / (atoms[None, :] - zvals[:, None])
+        g = coeffs.real @ inv.real - coeffs.imag @ inv.imag
+        blocks.append((atoms, np.stack([u, (u * u - (m2 - m1 * m1)) * (n == 2)]),
+                       g, np.empty_like(g)))
+    rows = np.arange(grid.times.size)
 
     def best_over_s(c):
-        # |(g_t - c w)'| <= slope + 4|c| bounds the useful range of s
-        return _golden_max(lambda s: certified(s, c), (n >= 1) * (slope + 4.0 * np.abs(c)))
+        (xa, basis_a, ga, ra), (xb, basis_b, gb, rb) = blocks
+        ia, ib = np.full(rows.size, xa.size - 1), np.zeros(rows.size, dtype=int)
+        best = last = np.full(rows.size, -np.inf)
+        pad = (curvature + 2.0 * np.abs(c)) * h * h / 8.0
+        for k in range(_EXCHANGE_PASSES):
+            fa = ga[rows, ia] - c * basis_a[1, ia]
+            fb = gb[rows, ib] - c * basis_b[1, ib]
+            sc = np.column_stack(((fb - fa) / (xb[ib] - xa[ia]), c))
+            for _, basis, g, residual in blocks:
+                np.matmul(sc, basis, out=residual)
+                np.subtract(g, residual, out=residual)
+            ja, jb = ra.argmin(axis=1), rb.argmin(axis=1)
+            value = np.minimum(ra[rows, ja], rb[rows, jb]) - pad
+            moved = (value > last) & ((ja != ia) | (jb != ib))
+            best, last = np.maximum(best, value), (value if k else last)  # see above
+            ia, ib = ja, jb
+            if not moved.any():
+                break
+        return best
 
     lower = _golden_max(best_over_s, (n == 2) * curvature)
-    np.negative(g, out=g)
+    for _, _, g, _ in blocks:
+        np.negative(g, out=g)
     upper = -_golden_max(best_over_s, (n == 2) * curvature)
     return model.a0 * lower, model.a0 * upper

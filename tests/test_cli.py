@@ -69,6 +69,12 @@ class TestScenarioValidation:
         assert run("bounds", write_scenario(tmp_path, obj), tmp_path) == 2
         assert "moments_cases[0].known[0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("known, index", [([0.5, 0.1], 1), (["0.4"], 0), ([0.4, None], 1)])
+    def test_bad_moment_entry_names_path(self, tmp_path, capsys, known, index):
+        obj = dict(BASE, moments_cases=[{"label": "x", "known": known}])
+        assert run("bounds", write_scenario(tmp_path, obj), tmp_path) == 2
+        assert f"moments_cases[0].known[{index}]" in capsys.readouterr().err
+
     def test_numeric_failure_exits_3(self, tmp_path, capsys):
         # plasma at omega = 1 puts a pole at 0, on the segment
         obj = dict(BASE, model={"kind": "plasma", "a0": 0.6},
@@ -250,6 +256,14 @@ class TestBoundsCommand:
         assert np.all(data["lower"] <= data["upper"])
         i0 = int(np.argmin(np.abs(data["t"])))
         assert data["lower"][i0] <= 0.6 <= data["upper"][i0]
+
+    def test_point_mass_moments_within_rounding_accepted(self, tmp_path):
+        # 0.4 ** 2 is 0.16000000000000003, above M2 = 0.16 by one rounding
+        obj = dict(BASE, moments_cases=[{"label": "point", "known": [0.4, 0.16]}])
+        assert run("bounds", write_scenario(tmp_path, obj), tmp_path) == 0
+        data = np.genfromtxt(tmp_path / "bounds_point.csv", delimiter=",", names=True)
+        assert data.size == BASE["grid"]["steps"]
+        assert np.all(data["lower"] <= data["upper"])
 
     def test_unknown_scale_clamps_through_zero(self, tmp_path):
         obj = dict(BASE, moments_cases=[{"label": "free", "known": [],

@@ -35,22 +35,55 @@ def dielectric_setup(a0=0.6):
 
 
 def scenario_setup(name):
-    scenario = cli.load_scenario(str(SCENARIO_DIR / f"{name}.json"))
+    return scenario_parts(cli.load_scenario(str(SCENARIO_DIR / f"{name}.json")))
+
+
+def scenario_parts(scenario):
     model = cli.build_model(scenario)
     omegas = cli.parse_frequencies(scenario)
     design = cli.build_design(scenario, model, omegas)
     return model, omegas, design, cli.build_grid(scenario)
 
 
-def integrand(design, omegas, theta, times, t0):
-    """g_t(lambda) = Re sum_k c_k(t) / (lambda - z_k) on ATOMS, one row per
+def integrand(design, omegas, theta, times, t0, atoms=ATOMS):
+    """g_t(lambda) = Re sum_k c_k(t) / (lambda - z_k) on the atoms, one row per
     time, with the scales a0 multiplies: sum_k |c_k(t)| / d_k (magnitude) and
     sum_k |c_k(t)| / d_k**3 (curvature)."""
     z = design.poles.array
     coeffs = design.alphas * np.exp(1j * theta) * np.exp(-1j * np.outer(times - t0, omegas))
-    g = (coeffs[:, :, None] / (ATOMS[None, None, :] - z[None, :, None])).real.sum(axis=1)
+    g = (coeffs[:, :, None] / (atoms[None, None, :] - z[None, :, None])).real.sum(axis=1)
     d = np.array([segment_distance(zk) for zk in z])
     return g, np.abs(coeffs) @ (1.0 / d), np.abs(coeffs) @ (1.0 / d ** 3)
+
+
+def chord_extremes(g, atoms, m1):
+    """Min and max, for each row of g, of the chord at m1 over atom pairs
+    lam_i <= m1 <= lam_j: the exact extremes of the integral of g over the
+    measures on the atoms with first moment m1 (an atom at m1 is its own
+    chord)."""
+    left, right = atoms <= m1, atoms >= m1
+    la, lb = atoms[left][:, None], atoms[right][None, :]
+    span = np.where(lb > la, lb - la, 1.0)
+    lo, hi = [], []
+    for row in g:
+        ga, gb = row[left][:, None], row[right][None, :]
+        chord = np.where(lb > la, (ga * (lb - m1) + gb * (m1 - la)) / span, ga)
+        lo.append(chord.min())
+        hi.append(chord.max())
+    return np.array(lo), np.array(hi)
+
+
+def assert_one_moment_bounds_exact(model, design, omegas, m1, theta, grid, atoms=ATOMS):
+    # the bounds are a0 times the exact grid extremes shifted outward by the
+    # pad a0 (2 sum_k |c_k|/d_k**3) h^2 / 8, to rounding
+    lower, upper = response_bounds(design, model, omegas, [m1], theta, grid,
+                                   atom_grid_size=atoms.size)
+    g, magnitude, curvature = integrand(design, omegas, theta, grid.times, grid.t0, atoms)
+    lo, hi = chord_extremes(g, atoms, m1)
+    pad = 2.0 * curvature * (atoms[1] - atoms[0]) ** 2 / 8.0
+    tol = 1e-12 * model.a0 * magnitude
+    assert np.all(np.abs(lower - model.a0 * (lo - pad)) <= tol)
+    assert np.all(np.abs(upper - model.a0 * (hi + pad)) <= tol)
 
 
 class TestMaxwellPhase:
@@ -193,6 +226,8 @@ class TestResponseBounds:
         with pytest.raises(InfeasibleMomentsError):
             response_bounds(design, model, OMEGAS, [1.5], 0.0, self.GRID)
         with pytest.raises(InfeasibleMomentsError):
+            response_bounds(design, model, OMEGAS, [float("nan")], 0.0, self.GRID)
+        with pytest.raises(InfeasibleMomentsError):
             response_bounds(design, model, OMEGAS, [0.5, 0.1], 0.0, self.GRID)
         with pytest.raises(InfeasibleMomentsError):
             response_bounds(design, model, OMEGAS, [0.1, 0.2, 0.3], 0.0, self.GRID)
@@ -266,12 +301,10 @@ class TestResponseBounds:
         lower, upper = response_bounds(design, model, omegas, [m1], 0.0, grid)
         i = int(np.argmin(np.abs(grid.times - t)))
         g, magnitude, _ = integrand(design, omegas, 0.0, grid.times[i:i + 1], grid.t0)
-        left, right = ATOMS < m1, ATOMS > m1
-        la, lb = ATOMS[left][:, None], ATOMS[right][None, :]
-        chord = (g[0, left][:, None] * (lb - m1) + g[0, right][None, :] * (m1 - la)) / (lb - la)
+        lo, hi = chord_extremes(g, ATOMS, m1)
         tol = 1e-12 * model.a0 * magnitude[0]
-        assert lower[i] <= model.a0 * chord.min() + tol
-        assert upper[i] >= model.a0 * chord.max() - tol
+        assert lower[i] <= model.a0 * lo[0] + tol
+        assert upper[i] >= model.a0 * hi[0] - tol
 
     @pytest.mark.parametrize("known", [[0.4], [0.4, 0.3]])
     @pytest.mark.parametrize("theta", [0.0, np.pi / 2])
@@ -293,3 +326,55 @@ class TestResponseBounds:
             tol = 1e-6 * model.a0 * curvature[i]
             assert abs(lower[i] - model.a0 * lo.fun) <= tol
             assert abs(upper[i] + model.a0 * hi.fun) <= tol
+
+    @pytest.mark.parametrize("m1", [0.4, 0.5, 0.0, -0.999])  # 0.5 and 0.0 are atoms
+    @pytest.mark.parametrize("theta", [0.0, 1.0])
+    @pytest.mark.parametrize("name", ["fig3_visco", "fig4_dielectric", "fig5_plasma",
+                                      "fig6_freq_target"])
+    def test_one_moment_bounds_are_the_exact_grid_extremes(self, name, theta, m1):
+        # the exchange over s ends on the optimal chord, not near it.  On
+        # these 7 times, fig3 with theta = 1 and M1 = 0.5 starts from chords
+        # past the optimum: a stop rule that held the second pass to the
+        # first would end it early
+        model, omegas, design, grid = scenario_setup(name)
+        coarse = TimeGrid(t_start=grid.t_start, t_end=grid.t_end, steps=7, t0=grid.t0)
+        assert_one_moment_bounds_exact(model, design, omegas, m1, theta, coarse)
+
+    @pytest.mark.parametrize("m1", [-1.0, 0.4, 1.0])
+    @pytest.mark.parametrize("size", [2, 3, 5])
+    def test_tiny_atom_grids(self, size, m1):
+        # the atoms either side of M1 form two blocks that may hold one atom,
+        # or an atom at M1 itself
+        model, design = dielectric_setup()
+        atoms = np.linspace(-1.0, 1.0, size)
+        assert_one_moment_bounds_exact(model, design, OMEGAS, m1, 0.0, self.GRID, atoms)
+        for known in ([], [m1, max(m1 * m1, 0.3)]):
+            lower, upper = response_bounds(design, model, OMEGAS, known, 0.0, self.GRID,
+                                           atom_grid_size=size)
+            assert np.all(lower <= upper)
+
+    @pytest.mark.parametrize("known", [[0.4], [0.4, 0.3]])
+    def test_bounds_enclose_measures_for_48_ellipse_poles(self, known):
+        # 48 poles on the ellipse 1.9 cos + 0.9i sin through the
+        # lossy-dielectric map, with a moments(8) design: sum_k |c_k|/d_k
+        # reaches 1e13, so float64 sums carry errors of about 1e-15 of it
+        phi = 2.0 * np.pi * np.arange(48) / 48 + 0.1
+        omegas = 1j / (1.9 * np.cos(phi) + 0.9j * np.sin(phi) - 2.0)
+        model, omegas, design, grid = scenario_parts({
+            "model": {"kind": "lossy_dielectric", "a0": 0.6},
+            "frequencies": [[w.real, w.imag] for w in omegas],
+            "design": {"mode": "moments", "n": 8},
+            "grid": {"t_start": -2.0, "t_end": 1.0, "steps": 13, "t0": 0.0},
+        })
+        lower, upper = response_bounds(design, model, omegas, known, 0.0, grid)
+        _, magnitude, _ = integrand(design, omegas, 0.0, grid.times, grid.t0)
+        tol = 1e-13 * model.a0 * magnitude
+        assert np.all(lower <= upper)
+        if len(known) == 1:
+            measures = [random_measure_with_moments(0.4, 4, seed) for seed in range(20)]
+        else:  # weights solve the three moment equations M0 = 1, M1, M2
+            measures = [DiscreteMeasure(atoms=(-0.5, 0.5, 1.0),
+                                        weights=(2.0 / 15.0, 0.8, 1.0 / 15.0))]
+        for mu in measures:
+            v = simulate_response(design, model, omegas, mu, grid).real
+            assert np.all(lower - tol <= v) and np.all(v <= upper + tol)
