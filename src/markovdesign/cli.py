@@ -57,6 +57,8 @@ def _as_complex(value, path: str) -> complex:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or not all(isinstance(v, (int, float)) for v in value)):
         raise ScenarioError(path, "complex numbers are two-element [re, im] arrays")
+    if not np.all(np.isfinite(value)):
+        raise ScenarioError(path, "real and imaginary parts must be finite")
     return complex(value[0], value[1])
 
 
@@ -81,8 +83,8 @@ def build_model(scenario: dict) -> rz.SystemModel:
     spec = _require(scenario, "model", "")
     kind = _require(spec, "kind", "model")
     a0 = spec.get("a0", 1.0)
-    if not isinstance(a0, (int, float)) or a0 <= 0:
-        raise ScenarioError("model.a0", "must be a positive number")
+    if not isinstance(a0, (int, float)) or not 0 < a0 < np.inf:
+        raise ScenarioError("model.a0", "must be a positive finite number")
     if kind == "lossy_dielectric":
         return rz.SystemModel.lossy_dielectric(a0)
     if kind == "plasma":

@@ -14,10 +14,12 @@ as a product of node differences, never from expanded coefficients
 (Berrut & Trefethen, "Barycentric Lagrange interpolation", SIAM Rev. 46,
 2004).
 
-The certified bound ``epsilon`` comes from the closed forms (2/(2 d_min)**m
-and relatives); the measured bound ``epsilon_observed`` comes from a dense
-Chebyshev grid with golden-section refinement, and is always dominated by the
-certificate.
+The certified bound ``epsilon`` is computed without any search: the unit and
+moments designs have closed forms (2/(2 d_min)**m and relatives), and the
+target and zero-factor designs pad values on the Chebyshev-Lobatto grid in
+closed form, so that min |q| is bounded from below and sup |N| from above on
+all of [-1,1].  The measured bound ``epsilon_observed`` comes from the same
+kind of grid with golden-section refinement around its argmax.
 """
 
 from __future__ import annotations
@@ -169,20 +171,19 @@ def _golden_max(f, a: float, b: float, iters: int = 80):
     return x, max(fc, fd)
 
 
-def _refined_extremum(f, grid: np.ndarray, values: np.ndarray, maximize: bool = True):
-    """Grid argmax/argmin refined by golden-section search in the two
-    neighboring intervals; returns (x_star, f(x_star))."""
-    sign = 1.0 if maximize else -1.0
-    idx = int(np.argmax(sign * values))
+def _refined_extremum(f, grid: np.ndarray, values: np.ndarray):
+    """Grid argmax refined by golden-section search in the two neighboring
+    intervals; returns (x_star, f(x_star))."""
+    idx = int(np.argmax(values))
     best_x, best_v = float(grid[idx]), float(values[idx])
     lo = grid[max(idx - 1, 0)]
     hi = grid[min(idx + 1, grid.size - 1)]
     for a, b in ((lo, grid[idx]), (grid[idx], hi)):
         if b - a <= 0:
             continue
-        x, v = _golden_max(lambda t: sign * float(f(t)), float(a), float(b))
-        if v > sign * best_v:
-            best_x, best_v = x, sign * v
+        x, v = _golden_max(lambda t: float(f(t)), float(a), float(b))
+        if v > best_v:
+            best_x, best_v = x, v
     return best_x, best_v
 
 
@@ -197,22 +198,29 @@ def sup_deviation(design: SignalDesign, grid_size: int | None = None):
     return _refined_extremum(lambda x: design.deviation(np.array([x]))[0], grid, vals)
 
 
-def verify_sup(design: SignalDesign, poles: Optional[PoleSet] = None,
-               grid_size: int | None = None) -> float:
+def verify_sup(design: SignalDesign, grid_size: int | None = None) -> float:
     """Measured sup-norm deviation; stores it in design.epsilon_observed and
     its argmax in design.lambda_star."""
-    if poles is not None and poles is not design.poles:
-        if not np.allclose(poles.array, design.poles.array):
-            raise DesignError("pole set inconsistent with design")
     design.lambda_star, design.epsilon_observed = sup_deviation(design, grid_size)
     return design.epsilon_observed
 
 
-def _min_abs_q(poles: PoleSet):
-    """argmin and min over the refined grid of |q(lambda)| on [-1,1]."""
-    grid = _lobatto_grid(SUP_GRID_SIZE)
+def _certificate_grid(m: int) -> np.ndarray:
+    """The Lobatto grid certificates are read from: the sup grid, with at
+    least 4m + 1 nodes so that the Ehlich-Zeller factor is at most 1/cos(pi/8)."""
+    return _lobatto_grid(max(SUP_GRID_SIZE, 4 * m + 1))
+
+
+def _min_abs_q(poles: PoleSet) -> float:
+    """A lower bound on min |q(lambda)| over [-1,1].
+
+    log|q| is sum_j 1/d_j-Lipschitz on [-1,1], so in a grid cell of width h,
+    |q| stays above the smaller endpoint value times exp(-(h/2) sum_j 1/d_j).
+    """
+    grid = _certificate_grid(poles.m)
     vals = np.abs(poles.node(grid))
-    return _refined_extremum(lambda x: abs(poles.node(x)), grid, vals, maximize=False)
+    pad = np.exp(-0.5 * np.diff(grid) * np.sum(1.0 / np.array(poles.distances)))
+    return float(np.min(np.minimum(vals[:-1], vals[1:]) * pad))
 
 
 def _check_convergent(poles: PoleSet) -> bool:
@@ -296,7 +304,7 @@ def _region_diagnostics(poles: PoleSet, z0: complex) -> Optional[dict]:
 def _target_design(mode: str, poles: PoleSet, z0: complex, power: int) -> SignalDesign:
     """Target designs: b_m = q(z0)/T_{m-1}(z0) makes q - b_m T_{m-1} vanish
     at z0, N = -b_m T_{m-1}/(lambda - z0)**power, and the certificate is
-    |b_m| / (d0**power * min |q| on [-1,1])."""
+    |b_m| / (d0**power * min |q|), with min |q| bounded from grid values."""
     z0 = _validate_target_point(poles, z0)
     m = poles.m
     z = poles.array
@@ -309,7 +317,7 @@ def _target_design(mode: str, poles: PoleSet, z0: complex, power: int) -> Signal
               if power == 2 else None)
     return _design(
         mode, poles, -b_m * cheb_eval(m - 1, z) / (z - z0) ** power,
-        epsilon=abs(b_m) / (segment_distance(z0) ** power * _min_abs_q(poles)[1]),
+        epsilon=abs(b_m) / (segment_distance(z0) ** power * _min_abs_q(poles)),
         alpha0=alpha0,
         b_m=b_m,
         z0=z0,
@@ -321,7 +329,8 @@ def design_frequency_target(poles: PoleSet, z0: complex) -> SignalDesign:
     """Design approximating the resolvent kernel 1/(lambda - z0).
 
     N = -b_m T_{m-1}/(lambda - z0) with b_m = q(z0)/T_{m-1}(z0); the
-    certificate is |b_m| / (d0 * min |q| on [-1,1]).
+    certificate is |b_m| / (d0 * min |q| on [-1,1]), with min |q| bounded
+    from below by Lipschitz padding of its values on the Lobatto grid.
     """
     return _target_design(MODE_FREQUENCY_TARGET, poles, z0, 1)
 
@@ -334,7 +343,7 @@ def design_derivative_target(poles: PoleSet, z0: complex) -> SignalDesign:
     so alpha0 = q'(z0)/q(z0) - T'_{m-1}(z0)/T_{m-1}(z0).
     N = -b_m T_{m-1}/(lambda - z0)**2, the verification target is
     1/(lambda - z0)**2 - alpha0/(lambda - z0) and the certificate is
-    |b_m| / (d0**2 * min |q|).
+    |b_m| / (d0**2 * min |q|), with min |q| padded as for the frequency target.
     """
     return _target_design(MODE_DERIVATIVE_TARGET, poles, z0, 2)
 
@@ -344,8 +353,10 @@ def design_with_zero_factor(poles: PoleSet, s: ComplexPolynomial) -> SignalDesig
 
     N = -s T_{m-M}/2**(m-M-1).  The prescribed monic factor s (degree M < m)
     shapes the signal; choosing s with a root at a pole drops that frequency
-    entirely.  The certificate has no closed form and is computed numerically
-    as sup |N| / min |q| on the refined grid.
+    entirely.  The certificate is sup |N| / min |q|: sup |N| is bounded by
+    its largest value on the n Lobatto nodes over cos(m pi/(2(n-1))) (Ehlich &
+    Zeller, Math. Z. 86, 1964; deg N = m < n - 1), and min |q| by
+    Lipschitz padding.
     """
     m = poles.m
     M = s.degree
@@ -359,21 +370,16 @@ def design_with_zero_factor(poles: PoleSet, s: ComplexPolynomial) -> SignalDesig
         lam = np.asarray(lam, dtype=complex)
         return s(lam) * cheb_eval(m - M, lam) / scale
 
-    design = _design(
+    # Ehlich-Zeller holds for real polynomials; it bounds complex N through
+    # Re(exp(i theta) N) for every theta
+    grid = _certificate_grid(m)
+    sup_numerator = np.max(np.abs(numerator(grid))) / np.cos(m * np.pi / (2 * (grid.size - 1)))
+    return _design(
         MODE_ZERO_FACTOR, poles, -numerator(poles.array),
-        epsilon=float("nan"),
+        epsilon=float(sup_numerator / _min_abs_q(poles)),
         gammas=np.array([1.0 + 0.0j]),
         convergent=_check_convergent(poles),
     )
-    # numerical certificate: candidates include the deviation argmax so the
-    # certificate dominates the observation by construction
-    grid = _lobatto_grid(SUP_GRID_SIZE)
-    num_x, _ = _refined_extremum(lambda x: abs(numerator(x)), grid, np.abs(numerator(grid)))
-    den_x, _ = _min_abs_q(poles)
-    cands = np.concatenate([grid, [design.lambda_star, num_x, den_x]])
-    design.epsilon = float(np.max(np.abs(numerator(cands)))
-                           / np.min(np.abs(poles.node(cands))))
-    return design
 
 
 def stieltjes_coefficients(design: SignalDesign, z0: complex) -> np.ndarray:

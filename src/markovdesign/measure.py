@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import SignalDesign, sup_deviation
+from .design import sup_deviation
 from .geometry import ON_SEGMENT_TOL, segment_distance
 
 MASS_TOL = 1e-12
@@ -34,11 +34,12 @@ class DiscreteMeasure:
         weights = np.asarray(self.weights, dtype=float)
         if atoms.size != weights.size or atoms.size == 0:
             raise MeasureError("atoms and weights must be nonempty and matched")
-        if np.any(weights < 0):
+        # written so that NaN fails each check
+        if not np.all(weights >= 0):
             raise MeasureError("weights must be nonnegative")
         if abs(weights.sum() - 1.0) > MASS_TOL:
             raise MeasureError(f"weights sum to {weights.sum()}, not 1")
-        if np.any(atoms < -1.0) or np.any(atoms > 1.0):
+        if not np.all(np.abs(atoms) <= 1.0):
             raise MeasureError("atoms must lie in [-1,1]")
         # canonical form: strictly increasing atoms, duplicates merged
         order = np.argsort(atoms)
@@ -85,14 +86,9 @@ def moments(mu: DiscreteMeasure, n: int) -> np.ndarray:
     return powers @ mu.weight_array
 
 
-def worst_case_point_mass(design: SignalDesign):
-    """The point mass attaining the sup deviation.
-
-    Returns (lambda_star, deviation); matches verify_sup by sharing its
-    grid-plus-refinement scan.
-    """
-    lam_star, value = sup_deviation(design)
-    return lam_star, value
+# The point mass at the argmax of the sup deviation is the worst measure:
+# worst_case_point_mass(design) returns (lambda_star, deviation).
+worst_case_point_mass = sup_deviation
 
 
 def random_measure_with_moments(m1: float, atom_count: int, seed: int,

@@ -1,7 +1,7 @@
 """Complex polynomial algebra and Chebyshev evaluation.
 
 Coefficients live in the monomial basis, ascending order (index j is the
-coefficient of lambda**j). Degrees are capped at 64: product expansion and
+coefficient of lambda**j). Degrees are capped at 64: expansion from roots and
 Euclidean division in the monomial basis degrade beyond that, and every
 construction in this package uses small degrees anyway.
 """
@@ -15,10 +15,6 @@ from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import polynomial as nppoly
 
 DEGREE_CAP = 64
-
-# coefficient comparison: relative 1e-10 with absolute floor 1e-14
-COEFF_RTOL = 1e-10
-COEFF_ATOL = 1e-14
 
 
 class DegreeLimitError(ValueError):
@@ -60,32 +56,6 @@ class ComplexPolynomial:
 
     def __call__(self, z):
         return poly_eval(self, z)
-
-    def derivative(self) -> "ComplexPolynomial":
-        return ComplexPolynomial(tuple(nppoly.polyder(self.array)))
-
-    def __mul__(self, other: "ComplexPolynomial") -> "ComplexPolynomial":
-        return ComplexPolynomial(tuple(nppoly.polymul(self.array, other.array)))
-
-    def __add__(self, other: "ComplexPolynomial") -> "ComplexPolynomial":
-        return ComplexPolynomial(tuple(nppoly.polyadd(self.array, other.array)))
-
-    def __sub__(self, other: "ComplexPolynomial") -> "ComplexPolynomial":
-        return ComplexPolynomial(tuple(nppoly.polysub(self.array, other.array)))
-
-    def scale(self, factor: complex) -> "ComplexPolynomial":
-        return ComplexPolynomial(tuple(self.array * factor))
-
-
-def coeffs_close(a: ComplexPolynomial, b: ComplexPolynomial) -> bool:
-    """Coefficient-wise comparison at the package-wide tolerance."""
-    n = max(len(a.coeffs), len(b.coeffs))
-    ca = np.zeros(n, dtype=complex)
-    cb = np.zeros(n, dtype=complex)
-    ca[: len(a.coeffs)] = a.coeffs
-    cb[: len(b.coeffs)] = b.coeffs
-    scale = max(np.max(np.abs(ca)), np.max(np.abs(cb)), 1.0)
-    return bool(np.all(np.abs(ca - cb) <= COEFF_RTOL * scale + COEFF_ATOL))
 
 
 def cheb_eval(m: int, z) -> complex:
@@ -169,14 +139,3 @@ def monic_cheb(m: int) -> ComplexPolynomial:
     basis[m] = 1.0
     coeffs = npcheb.cheb2poly(basis) / 2.0 ** (m - 1)
     return ComplexPolynomial(tuple(coeffs.astype(complex)))
-
-
-def cheb_poly(m: int) -> ComplexPolynomial:
-    """T_m expanded in the monomial basis (un-normalized)."""
-    if m < 0:
-        raise ValueError("degree must be nonnegative")
-    if m > DEGREE_CAP:
-        raise DegreeLimitError(f"degree {m} exceeds cap {DEGREE_CAP}")
-    basis = np.zeros(m + 1)
-    basis[m] = 1.0
-    return ComplexPolynomial(tuple(npcheb.cheb2poly(basis).astype(complex)))

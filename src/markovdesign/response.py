@@ -49,10 +49,10 @@ class MaxwellPhase:
     eta: Optional[float] = None
 
     def __post_init__(self):
-        if self.G <= 0:
-            raise ValueError("shear modulus G must be positive")
-        if self.eta is not None and self.eta <= 0:
-            raise ValueError("viscosity eta must be positive (or None for elastic)")
+        if not 0 < self.G < np.inf:
+            raise ValueError("shear modulus G must be positive and finite")
+        if self.eta is not None and not 0 < self.eta < np.inf:
+            raise ValueError("viscosity eta must be positive and finite (or None for elastic)")
 
     @property
     def elastic(self) -> bool:
@@ -76,8 +76,8 @@ class SystemModel:
     a0: float = 1.0
 
     def __post_init__(self):
-        if self.a0 <= 0:
-            raise ValueError("a0 must be positive")
+        if not 0 < self.a0 < np.inf:
+            raise ValueError("a0 must be positive and finite")
 
     @classmethod
     def lossy_dielectric(cls, a0: float = 1.0) -> "SystemModel":

@@ -24,6 +24,24 @@ BASE = {
 }
 
 
+# Scenario values that are NaN or infinite, with the field the error names.
+NON_FINITE = [
+    ("model", {"kind": "lossy_dielectric", "a0": float("nan")}, "model.a0"),
+    ("model", {"kind": "plasma", "a0": float("inf")}, "model.a0"),
+    ("model", {"kind": "two_phase", "phases": [{"G": float("nan")}, {"G": 1.0}]},
+     "model.phases[0]"),
+    ("model", {"kind": "two_phase", "phases": [{"G": 2.0}, {"G": 1.0, "eta": float("nan")}]},
+     "model.phases[1]"),
+    ("frequencies", [[float("nan"), 0.0], [1.0, 0.0]], "frequencies[0]"),
+    ("frequencies", [[1.0, float("-inf")], [1.0, 0.0]], "frequencies[0]"),
+    ("design", {"mode": "frequency_target", "z0": [float("inf"), 0.0]}, "design.z0"),
+    ("design", {"mode": "zero_factor", "coeffs": [[float("nan"), 0.0], [1.0, 0.0]]},
+     "design.coeffs[0]"),
+    ("measure", {"atoms": [float("nan"), 0.5], "weights": [0.5, 0.5]}, "measure"),
+    ("measure", {"atoms": [-0.5, 0.5], "weights": [float("nan"), 0.5]}, "measure"),
+]
+
+
 def write_scenario(tmp_path, obj, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
@@ -82,6 +100,16 @@ class TestScenarioValidation:
         assert run("design", write_scenario(tmp_path, obj), tmp_path) == 3
         assert "numeric error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, field, value, path", [
+        (command, *case) for case in NON_FINITE for command in ("design", "simulate", "bounds")
+        # only simulate reads the measure
+        if case[0] != "measure" or command == "simulate"])
+    def test_non_finite_value_names_field(self, tmp_path, capsys, command, field, value, path):
+        obj = dict(BASE, **{field: value})
+        assert run(command, write_scenario(tmp_path, obj), tmp_path) == 2
+        assert f"error: {path}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv")) and not (tmp_path / "design.json").exists()
+
     def test_grid_size_too_small_exits_2(self, tmp_path):
         path = write_scenario(tmp_path, BASE)
         assert run("design", path, tmp_path, "--grid-size", "4") == 2
@@ -121,6 +149,17 @@ class TestDesignCommand:
         assert run("design", str(SCENARIO_DIR / "fig4_dielectric.json"), tmp_path,
                    "--grid-size", "16") == 0
         assert markovdesign.design.SUP_GRID_SIZE == 4096
+
+    def test_smallest_grid_size_certifies_zero_factor(self, tmp_path):
+        # 12 frequencies on a circle in the upper half plane; the certificate
+        # grid keeps the Ehlich-Zeller bound valid however small the sup grid
+        omegas = 1.5 * np.exp(1j * np.pi * (np.arange(12) + 0.5) / 12)
+        obj = dict(BASE, frequencies=[[w.real, w.imag] for w in omegas],
+                   design={"mode": "zero_factor", "coeffs": [[-2.0, 0.0], [1.0, 0.0]]})
+        assert run("design", write_scenario(tmp_path, obj), tmp_path, "--grid-size", "8") == 0
+        report = json.loads((tmp_path / "design.json").read_text())
+        assert 0.0 < report["epsilon"] < np.inf
+        assert report["epsilon_observed"] <= report["epsilon"]
 
     def test_target_mode_via_omega0(self, tmp_path):
         obj = dict(BASE, design={"mode": "frequency_target", "omega0": [0.0, 0.7]})

@@ -10,6 +10,7 @@ from markovdesign.design import (
     design_moments,
     design_unit,
     design_with_zero_factor,
+    _min_abs_q,
     stieltjes_coefficients,
     sup_deviation,
     verify_sup,
@@ -24,6 +25,12 @@ DIELECTRIC_POLES = (
     2.0 + 0.5 / 4.25 + (2.0 / 4.25) * 1j,
 )
 DIELECTRIC_D_MIN = 1.2126781251816647  # distance from the third pole to 1
+
+
+def ellipse_poles(m):
+    """The ellipse family 1.9 cos(theta) + 0.9i sin(theta), theta_k = 2 pi k/m + 0.1."""
+    theta = 2.0 * np.pi * np.arange(m) / m + 0.1
+    return PoleSet(points=tuple(1.9 * np.cos(theta) + 0.9j * np.sin(theta)))
 
 
 def random_poles(rng, m, d_min_floor=0.6):
@@ -103,9 +110,10 @@ class TestDesignUnit:
         q = poles.q()
         m = poles.m
         from markovdesign.polynomial import monic_cheb
-        p = q - monic_cheb(m)
         lam = np.linspace(-1, 1, 101)
-        assert np.allclose(design.rational_eval(lam), poly_eval(p, lam) / poly_eval(q, lam),
+        q_lam = poly_eval(q, lam)
+        assert np.allclose(design.rational_eval(lam),
+                           (q_lam - poly_eval(monic_cheb(m), lam)) / q_lam,
                            rtol=1e-9, atol=1e-12)
 
     def test_close_poles_warn_not_error(self):
@@ -169,9 +177,7 @@ class TestDesignMoments:
     def test_large_m_certificate_holds(self, m, n):
         # ellipse family 1.9 cos(theta) + 0.9i sin(theta); epsilon is about
         # 1.7e-10 at (48, 8), so the check takes no absolute slack
-        theta = 2.0 * np.pi * np.arange(m) / m + 0.1
-        poles = PoleSet(points=tuple(1.9 * np.cos(theta) + 0.9j * np.sin(theta)))
-        design = design_moments(poles, n)
+        design = design_moments(ellipse_poles(m), n)
         assert design.epsilon_observed <= design.epsilon
 
 
@@ -274,6 +280,30 @@ class TestZeroFactor:
             design_with_zero_factor(poles, monic_from_roots([2.0 + 1j]))
 
 
+class TestGridCertificates:
+    """The target and zero-factor certificates, padded from Lobatto grid
+    values, hold between the grid points."""
+
+    @pytest.mark.parametrize("poles", [PoleSet(points=DIELECTRIC_POLES),
+                                       PoleSet(points=TestFrequencyTarget.POLES),
+                                       ellipse_poles(3), ellipse_poles(24)])
+    def test_min_abs_q_below_fine_grid_minimum(self, poles):
+        fine = np.linspace(-1.0, 1.0, 2 ** 20)
+        fine_min = min(np.abs(poles.node(chunk)).min() for chunk in np.split(fine, 64))
+        assert 0.0 < _min_abs_q(poles) <= fine_min
+
+    @pytest.mark.parametrize("build", [
+        lambda poles: design_frequency_target(poles, 2.0 + 1.0 / 0.7),
+        lambda poles: design_derivative_target(poles, 2.0 + 1.0 / 0.7),
+        lambda poles: design_with_zero_factor(poles, monic_from_roots([poles.points[0]])),
+    ], ids=["frequency_target", "derivative_target", "zero_factor"])
+    def test_ellipse_m24_holds_without_slack(self, build):
+        # at m = 24 a certificate read from a searched min |q| (which is at or
+        # above the true minimum) falls below the observed deviation
+        design = build(ellipse_poles(24))
+        assert design.epsilon_observed <= design.epsilon
+
+
 class TestStieltjesCoefficients:
     def test_frequency_target_transform(self):
         design = design_frequency_target(
@@ -301,12 +331,6 @@ class TestVerifySup:
         coarse = verify_sup(design, grid_size=256)
         fine = verify_sup(design, grid_size=8192)
         assert coarse == pytest.approx(fine, rel=1e-6)
-
-    def test_inconsistent_pole_set_rejected(self):
-        design = design_unit(PoleSet(points=DIELECTRIC_POLES))
-        other = PoleSet(points=(2.0 + 1j,))
-        with pytest.raises(DesignError):
-            verify_sup(design, poles=other)
 
     def test_stores_observation(self):
         design = design_unit(PoleSet(points=DIELECTRIC_POLES))

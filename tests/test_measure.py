@@ -44,12 +44,15 @@ class TestDiscreteMeasure:
             DiscreteMeasure(atoms=(0.0,), weights=(0.5,))
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(MeasureError):
-            DiscreteMeasure(atoms=(0.0, 0.5), weights=(1.5, -0.5))
+        for weights in ((1.5, -0.5), (float("nan"), 0.5)):
+            with pytest.raises(MeasureError):
+                DiscreteMeasure(atoms=(0.0, 0.5), weights=weights)
 
     def test_atom_outside_interval_rejected(self):
         with pytest.raises(MeasureError):
             DiscreteMeasure(atoms=(1.5,), weights=(1.0,))
+        with pytest.raises(MeasureError):
+            DiscreteMeasure(atoms=(float("nan"), 0.5), weights=(0.5, 0.5))
 
     def test_json_round_trip(self):
         mu = DiscreteMeasure(atoms=(-0.5, 0.5), weights=(0.1, 0.9))

@@ -106,10 +106,10 @@ class TestMaxwellPhase:
         assert ph.modulus(1e8) == pytest.approx(6000, rel=1e-3)
 
     def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            MaxwellPhase(G=-1.0)
-        with pytest.raises(ValueError):
-            MaxwellPhase(G=1.0, eta=0.0)
+        for G, eta in [(-1.0, None), (1.0, 0.0), (float("nan"), None),
+                       (float("inf"), None), (1.0, float("nan"))]:
+            with pytest.raises(ValueError):
+                MaxwellPhase(G=G, eta=eta)
 
 
 class TestSystemModels:
@@ -142,8 +142,9 @@ class TestSystemModels:
         assert model_z(model, 0.0) == 2.0
 
     def test_nonpositive_scale_rejected(self):
-        with pytest.raises(ValueError):
-            SystemModel.lossy_dielectric(0.0)
+        for a0 in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                SystemModel.lossy_dielectric(a0)
 
 
 class TestTimeGrid:
