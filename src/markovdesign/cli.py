@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -47,10 +48,24 @@ class ScenarioError(ValueError):
         super().__init__(f"{field}: {message}")
 
 
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(path, "must be an object")
+    return value
+
+
 def _require(obj: dict, field: str, path: str):
-    if field not in obj:
+    if field not in _object(obj, path):
         raise ScenarioError(f"{path}.{field}" if path else field, "missing required field")
     return obj[field]
+
+
+def _integer(value, path: str, low: int, high: float = np.inf) -> int:
+    # bool is an int subclass; JSON true is not a count
+    if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= high:
+        bound = f"in [{low}, {high}]" if high < np.inf else f">= {low}"
+        raise ScenarioError(path, f"must be an integer {bound}")
+    return value
 
 
 def _as_complex(value, path: str) -> complex:
@@ -123,16 +138,13 @@ def build_poles(model: rz.SystemModel, omegas: np.ndarray) -> dz.PoleSet:
 
 def build_design(scenario: dict, model: rz.SystemModel,
                  omegas: np.ndarray) -> dz.SignalDesign:
-    spec = scenario.get("design", {"mode": "unit"})
+    spec = _object(scenario.get("design", {"mode": "unit"}), "design")
     mode = spec.get("mode", "unit")
     poles = build_poles(model, omegas)
     if mode == "unit":
         return dz.design_unit(poles)
     if mode == "moments":
-        n = spec.get("n", 1)
-        if not isinstance(n, int) or n < 0:
-            raise ScenarioError("design.n", "must be a nonnegative integer")
-        return dz.design_moments(poles, n)
+        return dz.design_moments(poles, _integer(spec.get("n", 1), "design.n", 0))
     if mode in ("frequency_target", "derivative_target"):
         if "z0" in spec:
             z0 = _as_complex(spec["z0"], "design.z0")
@@ -165,10 +177,11 @@ def build_measure(scenario: dict) -> mz.DiscreteMeasure:
 
 def build_grid(scenario: dict) -> rz.TimeGrid:
     spec = _require(scenario, "grid", "")
+    steps = _integer(_require(spec, "steps", "grid"), "grid.steps", 2)
     try:
         return rz.TimeGrid(
             t_start=spec["t_start"], t_end=spec["t_end"],
-            steps=spec["steps"], t0=spec.get("t0", 0.0))
+            steps=steps, t0=spec.get("t0", 0.0))
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError("grid", str(exc))
 
@@ -180,9 +193,21 @@ def _moment_cases(scenario: dict):
         cases = [scenario["moments"]]
     else:
         cases = [{"label": "m0_only", "known": [], "a0_known": True}]
+    if not isinstance(cases, list):
+        raise ScenarioError("moments_cases", "must be a list of objects")
     parsed = []
     for i, case in enumerate(cases):
         path = f"moments_cases[{i}]"
+        label = _object(case, path).get("label", f"case{i}")
+        # the label names an output file: no path separators or other specials
+        if not isinstance(label, str) or not re.fullmatch(r"[A-Za-z0-9_.-]+", label):
+            raise ScenarioError(f"{path}.label", "use only letters, digits, '_', '-' and '.'")
+        theta = case.get("theta", 0.0)
+        if isinstance(theta, bool) or not isinstance(theta, (int, float)) or not np.isfinite(theta):
+            raise ScenarioError(f"{path}.theta", "must be a finite number")
+        a0_known = case.get("a0_known", True)
+        if not isinstance(a0_known, bool):
+            raise ScenarioError(f"{path}.a0_known", "must be true or false")
         known = case.get("known", [])
         if not isinstance(known, list) or len(known) > 2:
             raise ScenarioError(f"{path}.known", "need at most two known moments")
@@ -192,12 +217,8 @@ def _moment_cases(scenario: dict):
                 rz._check_moment_feasibility(known[:k + 1])
             except (rz.InfeasibleMomentsError, TypeError) as exc:
                 raise ScenarioError(f"{path}.known[{k}]", str(exc)) from None
-        parsed.append({
-            "label": case.get("label", f"case{i}"),
-            "known": [float(v) for v in known],
-            "a0_known": bool(case.get("a0_known", True)),
-            "theta": float(case.get("theta", 0.0)),
-        })
+        parsed.append({"label": label, "known": [float(v) for v in known],
+                       "a0_known": a0_known, "theta": float(theta)})
     return parsed
 
 
@@ -285,10 +306,10 @@ def cmd_verify(scenario: dict, out_dir: Path, seed: int) -> Path:
     model = build_model(scenario)
     omegas = parse_frequencies(scenario)
     design = build_design(scenario, model, omegas)
-    stress = scenario.get("stress", {})
-    measure_count = int(stress.get("measure_count", 1000))
-    op_dim = int(stress.get("operator_dim", 8))
-    op_count = int(stress.get("operator_count", 20))
+    stress = _object(scenario.get("stress", {}), "stress")
+    measure_count = _integer(stress.get("measure_count", 1000), "stress.measure_count", 1)
+    op_dim = _integer(stress.get("operator_dim", 8), "stress.operator_dim", 1, oz.DIM_CAP)
+    op_count = _integer(stress.get("operator_count", 20), "stress.operator_count", 1)
 
     rng = np.random.default_rng(seed)
     atoms, weights = _random_measures(rng, measure_count)
@@ -369,7 +390,7 @@ def cmd_region(scenario: dict, out_dir: Path, seed: int) -> Path:
     spec = _require(scenario, "region", "")
     z0 = _as_complex(_require(spec, "z0", "region"), "region.z0")
     r = spec.get("r", 1.0)
-    n = int(spec.get("samples", 256))
+    n = _integer(spec.get("samples", 256), "region.samples", 2)
     try:
         region = RegionSpec(z0=z0, r=float(r))
     except (ValueError, DegeneratePointError) as exc:
@@ -410,7 +431,8 @@ def main(argv=None) -> int:
 
     try:
         scenario = load_scenario(args.scenario)
-        seed = args.seed if args.seed is not None else int(scenario.get("seed", 0))
+        seed = _integer(args.seed if args.seed is not None else scenario.get("seed", 0),
+                        "seed", 0)
         if args.grid_size is not None and args.grid_size < 8:
             raise ScenarioError("grid-size", "must be at least 8")
         saved_grid_size = dz.SUP_GRID_SIZE

@@ -19,7 +19,7 @@ moments designs have closed forms (2/(2 d_min)**m and relatives), and the
 target and zero-factor designs pad values on the Chebyshev-Lobatto grid in
 closed form, so that min |q| is bounded from below and sup |N| from above on
 all of [-1,1].  The measured bound ``epsilon_observed`` comes from the same
-kind of grid with golden-section refinement around its argmax.
+kind of grid, zoomed in around its argmax by repeated finer scans.
 """
 
 from __future__ import annotations
@@ -150,52 +150,27 @@ def _lobatto_grid(n: int) -> np.ndarray:
     return np.cos(np.pi * np.arange(n - 1, -1, -1) / (n - 1))
 
 
-def _golden_max(f, a: float, b: float, iters: int = 80):
-    """Golden-section maximization of f on [a,b]; returns (x, f(x))."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if b - a < 1e-14:
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = c if fc > fd else d
-    return x, max(fc, fd)
-
-
-def _refined_extremum(f, grid: np.ndarray, values: np.ndarray):
-    """Grid argmax refined by golden-section search in the two neighboring
-    intervals; returns (x_star, f(x_star))."""
-    idx = int(np.argmax(values))
-    best_x, best_v = float(grid[idx]), float(values[idx])
-    lo = grid[max(idx - 1, 0)]
-    hi = grid[min(idx + 1, grid.size - 1)]
-    for a, b in ((lo, grid[idx]), (grid[idx], hi)):
-        if b - a <= 0:
-            continue
-        x, v = _golden_max(lambda t: float(f(t)), float(a), float(b))
-        if v > best_v:
-            best_x, best_v = x, v
-    return best_x, best_v
-
-
 def sup_deviation(design: SignalDesign, grid_size: int | None = None):
     """Worst deviation |R(lambda) - target(lambda)| on [-1,1].
 
-    Scans a Chebyshev-Lobatto grid, then refines around the argmax with
-    golden-section search.  Returns (lambda_star, value).
+    Scans a Chebyshev-Lobatto grid, then zooms: the two cells around the
+    argmax are rescanned at 65 points until they span less than 1e-13.
+    Returns (lambda_star, value) for the best point evaluated, so the value
+    is never below the grid maximum.
     """
     grid = _lobatto_grid(grid_size or SUP_GRID_SIZE)
     vals = design.deviation(grid)
-    return _refined_extremum(lambda x: design.deviation(np.array([x]))[0], grid, vals)
+    i = int(np.argmax(vals))
+    best_x, best_v = float(grid[i]), float(vals[i])
+    while True:
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+        if hi - lo < 1e-13:
+            return best_x, best_v
+        grid = np.linspace(lo, hi, 65)
+        vals = design.deviation(grid)
+        i = int(np.argmax(vals))
+        if vals[i] > best_v:
+            best_x, best_v = float(grid[i]), float(vals[i])
 
 
 def verify_sup(design: SignalDesign, grid_size: int | None = None) -> float:

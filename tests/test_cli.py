@@ -41,6 +41,40 @@ NON_FINITE = [
     ("measure", {"atoms": [-0.5, 0.5], "weights": [float("nan"), 0.5]}, "measure"),
 ]
 
+REGION = {"z0": [0.308824, -0.764706], "r": 1.0}
+
+# Scenario values of the wrong type or out of range, with the command that
+# reads them and the field the error names.
+BAD_VALUES = [
+    ("design", "seed", "abc", "seed"),
+    ("design", "seed", -1, "seed"),
+    ("design", "model", 3, "model"),
+    ("design", "design", [1], "design"),
+    ("design", "design", {"mode": "moments", "n": True}, "design.n"),
+    ("verify", "stress", {"measure_count": 0}, "stress.measure_count"),
+    ("verify", "stress", {"measure_count": -3}, "stress.measure_count"),
+    ("verify", "stress", {"measure_count": "abc"}, "stress.measure_count"),
+    ("verify", "stress", {"operator_count": 0}, "stress.operator_count"),
+    ("verify", "stress", {"operator_dim": 0}, "stress.operator_dim"),
+    ("verify", "stress", {"operator_dim": 65}, "stress.operator_dim"),
+    ("verify", "stress", [1], "stress"),
+    ("simulate", "grid", dict(BASE["grid"], steps=10.5), "grid.steps"),
+    ("simulate", "grid", 3, "grid"),
+    ("region", "region", dict(REGION, samples="abc"), "region.samples"),
+    ("region", "region", dict(REGION, samples=-1), "region.samples"),
+    ("bounds", "moments_cases", 5, "moments_cases"),
+    ("bounds", "moments_cases", [5], "moments_cases[0]"),
+    ("bounds", "moments_cases", [{"label": "x", "theta": "abc"}], "moments_cases[0].theta"),
+    ("bounds", "moments_cases", [{"label": "x", "theta": float("nan")}],
+     "moments_cases[0].theta"),
+    ("bounds", "moments_cases", [{"label": "x", "a0_known": "no"}],
+     "moments_cases[0].a0_known"),
+    ("bounds", "moments_cases", [{"label": "/../../../escaped", "known": [0.4]}],
+     "moments_cases[0].label"),
+    ("bounds", "moments_cases", [{"label": "", "known": []}], "moments_cases[0].label"),
+    ("bounds", "moments_cases", [{"label": 3, "known": []}], "moments_cases[0].label"),
+]
+
 
 def write_scenario(tmp_path, obj, name="scenario.json"):
     path = tmp_path / name
@@ -109,6 +143,15 @@ class TestScenarioValidation:
         assert run(command, write_scenario(tmp_path, obj), tmp_path) == 2
         assert f"error: {path}" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv")) and not (tmp_path / "design.json").exists()
+
+    @pytest.mark.parametrize("command, field, value, path", BAD_VALUES)
+    def test_bad_value_names_field(self, tmp_path, capsys, command, field, value, path):
+        obj = dict(BASE, **{field: value})
+        scenario = write_scenario(tmp_path, obj)
+        assert run(command, scenario, tmp_path / "out") == 2
+        assert f"error: {path}" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == [Path(scenario)]
+        assert not (tmp_path.parent / "escaped.csv").exists()
 
     def test_grid_size_too_small_exits_2(self, tmp_path):
         path = write_scenario(tmp_path, BASE)
@@ -316,7 +359,7 @@ class TestBoundsCommand:
 
 class TestRegionCommand:
     def test_boundary_cells_written(self, tmp_path):
-        obj = {"region": {"z0": [0.308824, -0.764706], "r": 1.0, "samples": 65},
+        obj = {"region": dict(REGION, samples=65),
                "seed": 0}
         path = write_scenario(tmp_path, obj)
         assert run("region", path, tmp_path) == 0

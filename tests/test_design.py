@@ -10,6 +10,7 @@ from markovdesign.design import (
     design_moments,
     design_unit,
     design_with_zero_factor,
+    _lobatto_grid,
     _min_abs_q,
     stieltjes_coefficients,
     sup_deviation,
@@ -325,12 +326,39 @@ class TestStieltjesCoefficients:
             stieltjes_coefficients(design, 2.0 + 1j)
 
 
+# the five modes on a pole set: moments with n = 2, targets at z0 = 2 + 1.4i
+# and the zero factor s = lambda - z_1
+ALL_MODES = {
+    "unit": design_unit,
+    "moments": lambda poles: design_moments(poles, 2),
+    "frequency_target": lambda poles: design_frequency_target(poles, 2.0 + 1.4j),
+    "derivative_target": lambda poles: design_derivative_target(poles, 2.0 + 1.4j),
+    "zero_factor": lambda poles: design_with_zero_factor(
+        poles, monic_from_roots([poles.points[0]])),
+}
+
+
 class TestVerifySup:
-    def test_grid_size_refinement_consistency(self):
-        design = design_unit(PoleSet(points=DIELECTRIC_POLES))
+    @pytest.mark.parametrize("mode", sorted(ALL_MODES))
+    def test_grid_size_refinement_consistency(self, mode):
+        design = ALL_MODES[mode](PoleSet(points=DIELECTRIC_POLES))
         coarse = verify_sup(design, grid_size=256)
         fine = verify_sup(design, grid_size=8192)
         assert coarse == pytest.approx(fine, rel=1e-6)
+
+    @pytest.mark.parametrize("mode", sorted(ALL_MODES))
+    @pytest.mark.parametrize("poles", [PoleSet(points=DIELECTRIC_POLES), ellipse_poles(12)],
+                             ids=["dielectric", "ellipse12"])
+    def test_observation_matches_fine_grid(self, mode, poles):
+        design = ALL_MODES[mode](poles)
+        fine = max(design.deviation(chunk).max()
+                   for chunk in np.array_split(_lobatto_grid(2 ** 20 + 1), 64))
+        assert design.epsilon_observed == pytest.approx(fine, rel=1e-9)
+        assert design.epsilon_observed >= design.deviation(_lobatto_grid(4096)).max()
+        # lambda_star is where the value was found (a one-point evaluation
+        # sums the m terms in another order)
+        assert design.deviation(design.lambda_star) == pytest.approx(
+            design.epsilon_observed, rel=1e-9)
 
     def test_stores_observation(self):
         design = design_unit(PoleSet(points=DIELECTRIC_POLES))
