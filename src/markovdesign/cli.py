@@ -202,6 +202,8 @@ def _moment_cases(scenario: dict):
         # the label names an output file: no path separators or other specials
         if not isinstance(label, str) or not re.fullmatch(r"[A-Za-z0-9_.-]+", label):
             raise ScenarioError(f"{path}.label", "use only letters, digits, '_', '-' and '.'")
+        if any(c["label"] == label for c in parsed):  # one output file per label
+            raise ScenarioError(f"{path}.label", f"repeats the label {label!r}")
         theta = case.get("theta", 0.0)
         if isinstance(theta, bool) or not isinstance(theta, (int, float)) or not np.isfinite(theta):
             raise ScenarioError(f"{path}.theta", "must be a finite number")
@@ -264,12 +266,9 @@ def design_report(design: dz.SignalDesign) -> dict:
     }
     if design.gammas is not None:
         report["gammas"] = [_complex_pair(g) for g in design.gammas]
-    if design.alpha0 is not None:
-        report["alpha0"] = _complex_pair(design.alpha0)
-    if design.b_m is not None:
-        report["b_m"] = _complex_pair(design.b_m)
-    if design.z0 is not None:
-        report["z0"] = _complex_pair(design.z0)
+    for name in ("alpha0", "b_m", "z0"):
+        if getattr(design, name) is not None:
+            report[name] = _complex_pair(getattr(design, name))
     if design.region_diagnostics is not None:
         report["region_diagnostics"] = {
             str(k): bool(v) for k, v in design.region_diagnostics.items()}
@@ -293,19 +292,21 @@ def _stress_deviations(design: dz.SignalDesign, atoms: np.ndarray,
                                     - design.target_eval(atoms)), axis=1))
 
 
+def _designed(scenario: dict):
+    """The scenario's model, frequencies and design."""
+    model, omegas = build_model(scenario), parse_frequencies(scenario)
+    return model, omegas, build_design(scenario, model, omegas)
+
+
 def cmd_design(scenario: dict, out_dir: Path, seed: int) -> Path:
-    model = build_model(scenario)
-    omegas = parse_frequencies(scenario)
-    design = build_design(scenario, model, omegas)
+    design = _designed(scenario)[2]
     path = out_dir / "design.json"
     write_json(path, design_report(design))
     return path
 
 
 def cmd_verify(scenario: dict, out_dir: Path, seed: int) -> Path:
-    model = build_model(scenario)
-    omegas = parse_frequencies(scenario)
-    design = build_design(scenario, model, omegas)
+    design = _designed(scenario)[2]
     stress = _object(scenario.get("stress", {}), "stress")
     measure_count = _integer(stress.get("measure_count", 1000), "stress.measure_count", 1)
     op_dim = _integer(stress.get("operator_dim", 8), "stress.operator_dim", 1, oz.DIM_CAP)
@@ -329,13 +330,9 @@ def cmd_verify(scenario: dict, out_dir: Path, seed: int) -> Path:
         },
     }
     if design.gammas is not None:
-        norms = []
-        certified = []
-        for i in range(op_count):
-            a = oz.random_hermitian_in_spectrum(op_dim, seed + i)
-            norm, ok = oz.verify_operator_bound(a, design)
-            norms.append(norm)
-            certified.append(ok)
+        norms, certified = zip(*(
+            oz.verify_operator_bound(oz.random_hermitian_in_spectrum(op_dim, seed + i), design)
+            for i in range(op_count)))
         report["operator_sweep"] = {
             "dim": op_dim,
             "count": op_count,
@@ -348,9 +345,7 @@ def cmd_verify(scenario: dict, out_dir: Path, seed: int) -> Path:
 
 
 def cmd_simulate(scenario: dict, out_dir: Path, seed: int) -> Path:
-    model = build_model(scenario)
-    omegas = parse_frequencies(scenario)
-    design = build_design(scenario, model, omegas)
+    model, omegas, design = _designed(scenario)
     mu = build_measure(scenario)
     grid = build_grid(scenario)
     u = rz.synthesize_input(design, model, omegas, grid)
@@ -368,9 +363,7 @@ def cmd_simulate(scenario: dict, out_dir: Path, seed: int) -> Path:
 
 
 def cmd_bounds(scenario: dict, out_dir: Path, seed: int):
-    model = build_model(scenario)
-    omegas = parse_frequencies(scenario)
-    design = build_design(scenario, model, omegas)
+    model, omegas, design = _designed(scenario)
     grid = build_grid(scenario)
     paths = []
     for case in _moment_cases(scenario):

@@ -20,13 +20,8 @@ from .geometry import segment_distance
 from .measure import DiscreteMeasure, markov_eval
 
 
-# Batched golden-section search over c, the M2 multiplier; an exchange picks
-# the M1 multiplier s for each trial c.  The step count only sets how tight the
-# bounds are, never whether they hold.
-_GOLDEN_STEPS = 45
-_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
-# The exchange reaches the grid optimum in about six passes; the cap only ends
-# a support that keeps changing on ties.
+# Caps the simplex pivots of response_bounds.  Every pivot gives a valid bound,
+# so the cap costs tightness only; about 10 pivots reach the optimum.
 _EXCHANGE_PASSES = 64
 # No bound solves a linear program; the name stays, always None, because the
 # perfbench tracer counts calls to ``response.linprog``.
@@ -192,14 +187,10 @@ def crest_ratio(alphas: Sequence[complex], model: SystemModel,
     series = (alphas * fvals) @ _phases(omegas, times[mask], grid.t0)
     at_t0 = complex((alphas * fvals) @ np.ones(omegas.size))
     if real_part_only:
-        denom = abs(at_t0.real)
-        values = np.abs(series.real)
-    else:
-        denom = abs(at_t0)
-        values = np.abs(series)
-    if denom == 0:
+        series, at_t0 = series.real, at_t0.real
+    if at_t0 == 0:
         raise ZeroDivisionError("response vanishes at t0")
-    return float(values.max() / denom)
+    return float(np.abs(series).max() / abs(at_t0))
 
 
 def _check_moment_feasibility(known_moments: Sequence[float]):
@@ -214,23 +205,67 @@ def _check_moment_feasibility(known_moments: Sequence[float]):
             raise InfeasibleMomentsError(f"M2 = {m2} violates M1^2 <= M2 <= 1")
 
 
-def _golden_max(f, half_width):
-    """Maximizes a concave f over [-half_width, half_width], one row per time,
-    by a batched golden-section search with one evaluation of f per step;
-    returns the best value evaluated.  A zero range has nothing to search."""
-    if not np.any(half_width):
-        return f(half_width)
-    lo, hi = -half_width, half_width
-    a, b = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
-    fa, fb = f(a), f(b)
-    for _ in range(_GOLDEN_STEPS):
-        left = fa >= fb
-        lo, hi = np.where(left, lo, a), np.where(left, b, hi)
-        x = np.where(left, hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo))
-        fx = f(x)
-        a, b = np.where(left, x, b), np.where(left, a, x)
-        fa, fb = np.where(left, fx, fb), np.where(left, fa, fx)
-    return np.maximum(fa, fb)
+def _starting_basis(lam, m1, var, n, band):
+    """n + 1 atoms, and the signs of their band shifts, whose weights are a
+    measure: about M1 - sigma, M1 and M1 + sigma, the outer two rounded
+    outward.  var = sigma^2 is clamped to [0, 1 - M1^2] here only."""
+    q = min(max(int(np.searchsorted(lam, m1, side="right")), 1), lam.size - 1)
+    p = q - 1  # p <= M1 < q, or q = M1 = 1
+    if n < 2:
+        return [p, q][1 - n:], [1.0] * (n + 1)
+    up, uq = lam[p] - m1, lam[q] - m1
+    v0 = -up * uq  # the variance of the measure on p and q
+    var = min(max(var, 0.0), 1.0 - m1 * m1)
+    if var <= v0 + band:  # that measure, its heavier atom with both signs
+        heavy, light = (p, q) if uq >= -up else (q, p)
+        return [heavy, heavy, light], [1.0, -1.0, 1.0 if var >= v0 else -1.0]
+    v = var - band  # the variance when every sign is +1; v > v0
+    a = max(int(np.searchsorted(lam, m1 - min(max(np.sqrt(var), v / (1.0 - m1)), 1.0 + m1),
+                                side="right")) - 1, 0)
+    c = min(int(np.searchsorted(lam, m1 + v / (m1 - lam[a]))), lam.size - 1)
+    return ([a, p, q] if v <= uq * (m1 - lam[a]) else [a, q, c]), [1.0] * 3
+
+
+def _best_certificate(g, moments, basis, signs, band, tol, residual):
+    """Simplex on every row of g at once (see response_bounds); returns, per
+    row, the best over the pivots of min(g - s u - c w) - |c| band.  Moves
+    the rows still pivoting to the top of g."""
+    best = np.full(g.shape[0], -np.inf)
+    at = np.arange(g.shape[0])  # the row of best each row of g belongs to
+    k = len(basis)
+    basis, signs = np.tile(basis, (at.size, 1)), np.tile(signs, (at.size, 1))
+    live = np.ones(at.size, dtype=bool)
+    for _ in range(_EXCHANGE_PASSES):
+        if live.sum() <= 0.75 * at.size:
+            keep = np.flatnonzero(live)
+            for i, j in enumerate(keep):  # in place: g[keep] would be a new array
+                g[i] = g[j]
+            basis, signs, tol, at, live = basis[keep], signs[keep], tol[keep], at[keep], live[keep]
+        rows = np.arange(at.size)
+        matrix = moments[:k, basis].transpose(1, 0, 2)  # a column per basis atom
+        matrix[:, -1] += band * signs
+        y = np.linalg.solve(matrix.transpose(0, 2, 1), g[rows[:, None], basis][..., None])[..., 0]
+        sc = np.zeros((at.size, 2))  # (s, c): a (T, 1) @ (1, N) product is slow
+        sc[:, :k - 1] = y[:, 1:]
+        part = g[:at.size]
+        if k > 1:
+            part = np.subtract(part, np.matmul(sc, moments[1:], out=residual[:at.size]),
+                               out=residual[:at.size])
+        enter = part.argmin(axis=1)
+        value = part[rows, enter] - np.abs(sc[:, 1]) * band
+        best[at] = np.maximum(best[at], value)
+        live &= value - y[:, 0] < -tol  # no negative reduced cost: optimal
+        if not live.any():
+            break
+        sign = np.where(sc[:, 1] < 0.0, -1.0, 1.0)  # the band side that lowers the cost
+        column = moments[:k, enter].T
+        column[:, -1] += band * sign
+        unit = np.broadcast_to(np.eye(k)[0], column.shape)
+        x, d = np.linalg.solve(matrix, np.stack([unit, column], axis=2)).transpose(2, 0, 1)
+        pos = d > 1e-12 * np.abs(d).max(axis=1, keepdims=True)
+        leave = np.where(pos, np.maximum(x, 0.0) / np.where(pos, d, 1.0), np.inf).argmin(axis=1)
+        basis[live, leave[live]], signs[live, leave[live]] = enter[live], sign[live]
+    return best
 
 
 def response_bounds(design: SignalDesign, model: SystemModel,
@@ -247,21 +282,18 @@ def response_bounds(design: SignalDesign, model: SystemModel,
 
         int g_t dmu >= min over [-1,1] of (g_t - s u - c w),
 
-    and that minimum is at least the minimum over the atom grid less the
-    interpolation error (max|g_t''| + 2|c|) h^2 / 8 of one cell.  Each bound
-    is thus valid for any multipliers, on or off the grid; how they are
-    picked affects only how tight the bounds are.  A batched golden-section
-    search picks c.  For each c an exchange picks s: with one moment the
-    extremal measure has one atom a with u <= 0 and one atom b with u > 0, so
-    s is the chord slope of g_t - c w through them.  Starting from the atoms
-    next to M1, each pass sets s to that slope and moves a and b to the
-    minima of the residual on their sides.  The first chord may lie past the
-    optimum, so the second pass can fall; from then on the value rises until
-    the support settles, and the exchange stops once no time step's value
-    rises with a changed support.  Unknown moments zero their rows of
-    u and w, so with no moments the lower bound is the grid minimum of g_t
-    less the interpolation error.  The upper bound is minus the lower bound
-    of -g_t.
+    at least the grid minimum less the pad (max|g_t''| + 2|c|) h^2 / 8, the
+    interpolation error of one cell.  So a bound holds for any multipliers;
+    their choice sets only how tight it is.  The best are the dual of the
+    linear program over measures on the grid whose second moment may miss M2
+    by h^2 / 4, the pad's 2|c| term: an atom enters with w shifted by either
+    sign of that band.  A simplex solves it for all times at once, over a
+    basis of n + 1 atoms (the most an extremal measure needs; Karlin &
+    Studden, 1966) with the (b, s, c) that make g_t - b - s u - c w vanish on
+    it.  Each pivot enters the atom of least reduced cost, Dantzig's ratio
+    test picks the one that leaves, and the best certificate is kept.
+    Unknown moments zero their rows of u and w.  The upper bound is minus the
+    lower bound of -g_t.
 
     Returns (lower, upper) arrays aligned with grid.times, including the a0
     scale.
@@ -277,45 +309,20 @@ def response_bounds(design: SignalDesign, model: SystemModel,
     # c_k(t) as a (T, m) array
     coeffs = ((design.alphas * np.exp(1j * theta))[:, None]
               * _phases(omegas, grid.times, grid.t0)).T
-    curvature = 2.0 * np.abs(coeffs) @ dists ** -3.0  # bounds |g_t''|
+    pad = 2.0 * np.abs(coeffs) @ dists ** -3.0 * h * h / 8.0  # 2 sum |c_k|/d_k^3 >= |g_t''|
+    tol = 1e-15 * np.abs(coeffs) @ (1.0 / dists)  # reduced costs above -tol are 0
     m1, m2 = (*known_moments, 0.0, 0.0)[:2]
-    # The atoms at or left of M1 and those right of it as two contiguous
-    # blocks, neither empty (at M1 = 1 the right one is the atom at 1): atoms,
-    # [u; w], g_t as (T, N_block) and a residual buffer.  A pass reuses the
-    # buffers, and argmin over a column slice would copy it.
-    split = min(max(int(np.searchsorted(lam, m1, side="right")), 1), lam.size - 1)
-    blocks = []
-    for atoms in (lam[:split], lam[split:]):
-        u = (atoms - m1) * (n >= 1)
-        inv = 1.0 / (atoms[None, :] - zvals[:, None])
-        g = coeffs.real @ inv.real - coeffs.imag @ inv.imag
-        blocks.append((atoms, np.stack([u, (u * u - (m2 - m1 * m1)) * (n == 2)]),
-                       g, np.empty_like(g)))
-    rows = np.arange(grid.times.size)
-
-    def best_over_s(c):
-        (xa, basis_a, ga, ra), (xb, basis_b, gb, rb) = blocks
-        ia, ib = np.full(rows.size, xa.size - 1), np.zeros(rows.size, dtype=int)
-        best = last = np.full(rows.size, -np.inf)
-        pad = (curvature + 2.0 * np.abs(c)) * h * h / 8.0
-        for k in range(_EXCHANGE_PASSES):
-            fa = ga[rows, ia] - c * basis_a[1, ia]
-            fb = gb[rows, ib] - c * basis_b[1, ib]
-            sc = np.column_stack(((fb - fa) / (xb[ib] - xa[ia]), c))
-            for _, basis, g, residual in blocks:
-                np.matmul(sc, basis, out=residual)
-                np.subtract(g, residual, out=residual)
-            ja, jb = ra.argmin(axis=1), rb.argmin(axis=1)
-            value = np.minimum(ra[rows, ja], rb[rows, jb]) - pad
-            moved = (value > last) & ((ja != ia) | (jb != ib))
-            best, last = np.maximum(best, value), (value if k else last)  # see above
-            ia, ib = ja, jb
-            if not moved.any():
-                break
-        return best
-
-    lower = _golden_max(best_over_s, (n == 2) * curvature)
-    for _, _, g, _ in blocks:
-        np.negative(g, out=g)
-    upper = -_golden_max(best_over_s, (n == 2) * curvature)
+    u = lam - m1
+    moments = np.stack([np.ones_like(lam), u * (n >= 1), (u * u - (m2 - m1 * m1)) * (n == 2)])
+    band = h * h / 4.0 * (n == 2)
+    basis, signs = _starting_basis(lam, m1, m2 - m1 * m1, n, band)
+    inv = 1.0 / (lam[None, :] - zvals[:, None])
+    parts = np.hstack([coeffs.real, -coeffs.imag]), np.vstack([inv.real, inv.imag])
+    # g_t on the grid, a row per time, and a residual buffer in one block,
+    # which later calls can reuse
+    g, residual = np.empty((2, grid.times.size, lam.size))
+    np.matmul(*parts, out=g)
+    lower = _best_certificate(g, moments, basis, signs, band, tol, residual) - pad
+    np.matmul(-parts[0], parts[1], out=g)
+    upper = pad - _best_certificate(g, moments, basis, signs, band, tol, residual)
     return model.a0 * lower, model.a0 * upper

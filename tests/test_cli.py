@@ -73,6 +73,8 @@ BAD_VALUES = [
      "moments_cases[0].label"),
     ("bounds", "moments_cases", [{"label": "", "known": []}], "moments_cases[0].label"),
     ("bounds", "moments_cases", [{"label": 3, "known": []}], "moments_cases[0].label"),
+    ("bounds", "moments_cases", [{"label": "x", "known": []}, {"label": "x", "known": [0.4]}],
+     "moments_cases[1].label"),
 ]
 
 

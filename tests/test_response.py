@@ -1,9 +1,10 @@
+import itertools
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from markovdesign import cli
+from markovdesign import cli, response
 from markovdesign.design import PoleSet, design_moments, design_unit
 from markovdesign.geometry import segment_distance
 from markovdesign.measure import DiscreteMeasure, markov_eval, random_measure_with_moments
@@ -81,6 +82,44 @@ def assert_one_moment_bounds_exact(model, design, omegas, m1, theta, grid, atoms
     g, magnitude, curvature = integrand(design, omegas, theta, grid.times, grid.t0, atoms)
     lo, hi = chord_extremes(g, atoms, m1)
     pad = 2.0 * curvature * (atoms[1] - atoms[0]) ** 2 / 8.0
+    tol = 1e-12 * model.a0 * magnitude
+    assert np.all(np.abs(lower - model.a0 * (lo - pad)) <= tol)
+    assert np.all(np.abs(upper - model.a0 * (hi + pad)) <= tol)
+
+
+def band_extremes(g, atoms, m1, m2, band):
+    """Min and max, for each row of g, of the integral of g over the measures
+    on the atoms with mass 1, first moment m1 and second moment within band of
+    m2, by brute force over their vertices: three atoms with the second moment
+    at an end of the band, or two atoms (one, at m1) inside it."""
+    lo, hi = np.full(g.shape[0], np.inf), np.full(g.shape[0], -np.inf)
+    for size in (1, 2, 3):
+        support = np.array(list(itertools.combinations(range(atoms.size), size)),
+                           dtype=int).reshape(-1, size)
+        powers = atoms[support][:, None, :] ** np.arange(3)[None, :, None]
+        for target in ((m2 - band, m2 + band) if size == 3 else (m2,)):
+            rhs = np.tile([1.0, m1, target][:size], (len(support), 1))
+            weights = np.linalg.solve(powers[:, :size], rhs[..., None])[..., 0]
+            got = np.einsum("pks,ps->pk", powers, weights)
+            ok = ((weights.min(axis=1) >= -1e-12) & (np.abs(got[:, 1] - m1) <= 1e-12)
+                  & (np.abs(got[:, 2] - m2) <= band + 1e-12))
+            values = np.einsum("tps,ps->tp", g[:, support[ok]], weights[ok])
+            if values.size:
+                lo, hi = np.minimum(lo, values.min(axis=1)), np.maximum(hi, values.max(axis=1))
+    return lo, hi
+
+
+def assert_two_moment_bounds_exact(model, design, omegas, known, theta, grid, atoms):
+    # the best certificate has multipliers that solve the grid linear program
+    # whose second moment may miss M2 by h^2 / 4, the dual of the pad's
+    # 2|c| h^2 / 8: the bounds are a0 times its extremes shifted outward by
+    # the rest of the pad, a0 (2 sum_k |c_k|/d_k**3) h^2 / 8, to rounding
+    lower, upper = response_bounds(design, model, omegas, known, theta, grid,
+                                   atom_grid_size=atoms.size)
+    g, magnitude, curvature = integrand(design, omegas, theta, grid.times, grid.t0, atoms)
+    h = atoms[1] - atoms[0]
+    lo, hi = band_extremes(g, atoms, *known, h * h / 4.0)
+    pad = 2.0 * curvature * h * h / 8.0
     tol = 1e-12 * model.a0 * magnitude
     assert np.all(np.abs(lower - model.a0 * (lo - pad)) <= tol)
     assert np.all(np.abs(upper - model.a0 * (hi + pad)) <= tol)
@@ -341,18 +380,66 @@ class TestResponseBounds:
         coarse = TimeGrid(t_start=grid.t_start, t_end=grid.t_end, steps=7, t0=grid.t0)
         assert_one_moment_bounds_exact(model, design, omegas, m1, theta, coarse)
 
+    @pytest.mark.parametrize("known", [[0.4, 0.3], [0.0, 0.5], [-0.6, 0.5]])
+    @pytest.mark.parametrize("theta", [0.0, 1.0])
+    @pytest.mark.parametrize("name", ["fig3_visco", "fig4_dielectric", "fig5_plasma",
+                                      "fig6_freq_target"])
+    def test_two_moment_bounds_are_the_exact_grid_extremes(self, name, theta, known):
+        # the simplex ends on the optimal basis: on 65 atoms the bounds match
+        # a brute force over all 4.4e4 atom triples
+        model, omegas, design, grid = scenario_setup(name)
+        coarse = TimeGrid(t_start=grid.t_start, t_end=grid.t_end, steps=7, t0=grid.t0)
+        assert_two_moment_bounds_exact(model, design, omegas, known, theta, coarse,
+                                       np.linspace(-1.0, 1.0, 65))
+
     @pytest.mark.parametrize("m1", [-1.0, 0.4, 1.0])
     @pytest.mark.parametrize("size", [2, 3, 5])
     def test_tiny_atom_grids(self, size, m1):
-        # the atoms either side of M1 form two blocks that may hold one atom,
-        # or an atom at M1 itself
+        # the pair around M1 may be the grid's ends, or hold M1 itself
         model, design = dielectric_setup()
         atoms = np.linspace(-1.0, 1.0, size)
         assert_one_moment_bounds_exact(model, design, OMEGAS, m1, 0.0, self.GRID, atoms)
-        for known in ([], [m1, max(m1 * m1, 0.3)]):
-            lower, upper = response_bounds(design, model, OMEGAS, known, 0.0, self.GRID,
-                                           atom_grid_size=size)
-            assert np.all(lower <= upper)
+        assert_two_moment_bounds_exact(model, design, OMEGAS, [m1, max(m1 * m1, 0.3)], 0.0,
+                                       self.GRID, atoms)
+        lower, upper = response_bounds(design, model, OMEGAS, [], 0.0, self.GRID,
+                                       atom_grid_size=size)
+        assert np.all(lower <= upper)
+
+    @pytest.mark.parametrize("known, atoms, weights", [
+        ([0.4, 0.16], (0.4,), (1.0,)),
+        ([0.4, 0.16 - 1e-13], (0.4,), (1.0,)),  # M2 < M1^2 within the accepted 1e-12
+        ([0.0, 1.0], (-1.0, 1.0), (0.5, 0.5)),
+        ([1.0, 1.0], (1.0,), (1.0,)),
+        ([-1.0, 1.0], (-1.0,), (1.0,)),
+    ])
+    def test_degenerate_second_moments_enclose_the_only_measure(self, known, atoms, weights):
+        # each admits one measure, so the width is about the two pads,
+        # 1.29e-5 here
+        model, design = dielectric_setup()
+        lower, upper = response_bounds(design, model, OMEGAS, known, 0.0, self.GRID)
+        mu = DiscreteMeasure(atoms=atoms, weights=weights)
+        v = simulate_response(design, model, OMEGAS, mu, self.GRID).real
+        assert np.all(lower <= v) and np.all(v <= upper)
+        assert np.max(upper - lower) <= 1.29e-5
+
+    @pytest.mark.parametrize("known", [[0.4], [0.4, 0.3]])
+    def test_capped_exchange_stays_valid(self, monkeypatch, known):
+        # one pass: the starting basis's certificate, looser but still valid
+        model, omegas, design, grid = scenario_setup("fig4_dielectric")
+        coarse = TimeGrid(t_start=grid.t_start, t_end=grid.t_end, steps=7, t0=grid.t0)
+        atoms = np.linspace(-1.0, 1.0, 65)
+        full = response_bounds(design, model, omegas, known, 0.0, coarse, atom_grid_size=65)
+        monkeypatch.setattr(response, "_EXCHANGE_PASSES", 1)
+        lower, upper = response_bounds(design, model, omegas, known, 0.0, coarse,
+                                       atom_grid_size=65)
+        g, magnitude, _ = integrand(design, omegas, 0.0, coarse.times, coarse.t0, atoms)
+        if len(known) == 1:
+            lo, hi = chord_extremes(g, atoms, known[0])
+        else:  # the extremes over the grid measures with exactly these moments
+            lo, hi = band_extremes(g, atoms, *known, 0.0)
+        tol = 1e-12 * model.a0 * magnitude
+        assert np.all(lower <= model.a0 * lo + tol) and np.all(upper >= model.a0 * hi - tol)
+        assert np.any(lower < full[0] - tol) or np.any(upper > full[1] + tol)
 
     @pytest.mark.parametrize("known", [[0.4], [0.4, 0.3]])
     def test_bounds_enclose_measures_for_48_ellipse_poles(self, known):
