@@ -5,7 +5,8 @@ stay versionable); complex numbers are two-element [re, im] arrays.  Reports
 are JSON with sorted keys; time series are CSV with a fixed header and
 17-significant-digit floats so doubles round-trip losslessly.
 
-Exit codes: 0 success, 2 scenario validation error, 3 numeric failure.
+Exit codes: 0 success, 2 scenario validation error, 3 numeric failure
+(including a written report whose certificate does not hold).
 """
 
 from __future__ import annotations
@@ -27,7 +28,17 @@ from . import response as rz
 from .geometry import DegeneratePointError, RegionSpec, in_region_H
 from .polynomial import ComplexPolynomial, DegreeLimitError
 
+# a relative tie between a deviation and its certificate: an absolute one
+# passes any violation of an epsilon below it
+CERT_RTOL = 1e-12
+
+
+class CertificateViolation(ArithmeticError):
+    """A written report whose measured deviation exceeds its certificate."""
+
+
 NUMERIC_ERRORS = (
+    CertificateViolation,
     dz.DesignError,
     mz.MeasureError,
     oz.OperatorError,
@@ -292,21 +303,30 @@ def _stress_deviations(design: dz.SignalDesign, atoms: np.ndarray,
                                     - design.target_eval(atoms)), axis=1))
 
 
-def _designed(scenario: dict):
-    """The scenario's model, frequencies and design."""
+def _designed(scenario: dict, grid_size=None):
+    """The scenario's model, frequencies and design; grid_size moves only epsilon_observed."""
     model, omegas = build_model(scenario), parse_frequencies(scenario)
-    return model, omegas, build_design(scenario, model, omegas)
+    design = build_design(scenario, model, omegas)
+    if grid_size is not None:
+        dz.verify_sup(design, grid_size)
+    return model, omegas, design
 
 
-def cmd_design(scenario: dict, out_dir: Path, seed: int) -> Path:
-    design = _designed(scenario)[2]
+def _require_certified(path: Path, design: dz.SignalDesign, *flags: bool):
+    if not (design.epsilon_observed <= design.epsilon * (1.0 + CERT_RTOL) and all(flags)):
+        raise CertificateViolation(f"{path}: the certificate epsilon does not hold")
+
+
+def cmd_design(scenario: dict, out_dir: Path, seed: int, grid_size) -> Path:
+    design = _designed(scenario, grid_size)[2]
     path = out_dir / "design.json"
     write_json(path, design_report(design))
+    _require_certified(path, design)
     return path
 
 
-def cmd_verify(scenario: dict, out_dir: Path, seed: int) -> Path:
-    design = _designed(scenario)[2]
+def cmd_verify(scenario: dict, out_dir: Path, seed: int, grid_size) -> Path:
+    design = _designed(scenario, grid_size)[2]
     stress = _object(scenario.get("stress", {}), "stress")
     measure_count = _integer(stress.get("measure_count", 1000), "stress.measure_count", 1)
     op_dim = _integer(stress.get("operator_dim", 8), "stress.operator_dim", 1, oz.DIM_CAP)
@@ -324,9 +344,7 @@ def cmd_verify(scenario: dict, out_dir: Path, seed: int) -> Path:
         "random_measure_stress": {
             "count": measure_count,
             "max_deviation": float(deviations.max()),
-            # a relative tie allowance: an absolute one passes any violation
-            # of an epsilon below it
-            "within_epsilon": bool(deviations.max() <= design.epsilon * (1.0 + 1e-12)),
+            "within_epsilon": bool(deviations.max() <= design.epsilon * (1.0 + CERT_RTOL)),
         },
     }
     if design.gammas is not None:
@@ -341,10 +359,12 @@ def cmd_verify(scenario: dict, out_dir: Path, seed: int) -> Path:
         }
     path = out_dir / "verify.json"
     write_json(path, report)
+    _require_certified(path, design, report["random_measure_stress"]["within_epsilon"],
+                       report.get("operator_sweep", {}).get("all_certified", True))
     return path
 
 
-def cmd_simulate(scenario: dict, out_dir: Path, seed: int) -> Path:
+def cmd_simulate(scenario: dict, out_dir: Path, seed: int, grid_size) -> Path:
     model, omegas, design = _designed(scenario)
     mu = build_measure(scenario)
     grid = build_grid(scenario)
@@ -362,7 +382,7 @@ def cmd_simulate(scenario: dict, out_dir: Path, seed: int) -> Path:
     return path
 
 
-def cmd_bounds(scenario: dict, out_dir: Path, seed: int):
+def cmd_bounds(scenario: dict, out_dir: Path, seed: int, grid_size):
     model, omegas, design = _designed(scenario)
     grid = build_grid(scenario)
     paths = []
@@ -379,7 +399,7 @@ def cmd_bounds(scenario: dict, out_dir: Path, seed: int):
     return paths
 
 
-def cmd_region(scenario: dict, out_dir: Path, seed: int) -> Path:
+def cmd_region(scenario: dict, out_dir: Path, seed: int, grid_size) -> Path:
     spec = _require(scenario, "region", "")
     z0 = _as_complex(_require(spec, "z0", "region"), "region.z0")
     r = spec.get("r", 1.0)
@@ -419,7 +439,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override scenario seed")
     parser.add_argument("--grid-size", type=int, default=None,
-                        help="override the sup-norm verification grid size")
+                        help="verification grid size (epsilon_observed only, not epsilon)")
     args = parser.parse_args(argv)
 
     try:
@@ -428,12 +448,7 @@ def main(argv=None) -> int:
                         "seed", 0)
         if args.grid_size is not None and args.grid_size < 8:
             raise ScenarioError("grid-size", "must be at least 8")
-        saved_grid_size = dz.SUP_GRID_SIZE
-        dz.SUP_GRID_SIZE = args.grid_size or saved_grid_size
-        try:
-            result = COMMANDS[args.command](scenario, Path(args.out), seed)
-        finally:
-            dz.SUP_GRID_SIZE = saved_grid_size
+        result = COMMANDS[args.command](scenario, Path(args.out), seed, args.grid_size)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

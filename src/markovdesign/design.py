@@ -20,6 +20,9 @@ target and zero-factor designs pad values on the Chebyshev-Lobatto grid in
 closed form, so that min |q| is bounded from below and sup |N| from above on
 all of [-1,1].  The measured bound ``epsilon_observed`` comes from the same
 kind of grid, zoomed in around its argmax by repeated finer scans.
+
+Certificates read one fixed 4,096-node grid (``SUP_GRID_SIZE``); a
+``grid_size`` given to ``verify_sup`` moves ``epsilon_observed``, never ``epsilon``.
 """
 
 from __future__ import annotations
@@ -150,7 +153,7 @@ def _lobatto_grid(n: int) -> np.ndarray:
     return np.cos(np.pi * np.arange(n - 1, -1, -1) / (n - 1))
 
 
-def sup_deviation(design: SignalDesign, grid_size: int | None = None):
+def sup_deviation(design: SignalDesign, grid_size: int = SUP_GRID_SIZE):
     """Worst deviation |R(lambda) - target(lambda)| on [-1,1].
 
     Scans a Chebyshev-Lobatto grid, then zooms: the two cells around the
@@ -158,7 +161,7 @@ def sup_deviation(design: SignalDesign, grid_size: int | None = None):
     Returns (lambda_star, value) for the best point evaluated, so the value
     is never below the grid maximum.
     """
-    grid = _lobatto_grid(grid_size or SUP_GRID_SIZE)
+    grid = _lobatto_grid(grid_size)
     vals = design.deviation(grid)
     i = int(np.argmax(vals))
     best_x, best_v = float(grid[i]), float(vals[i])
@@ -173,17 +176,19 @@ def sup_deviation(design: SignalDesign, grid_size: int | None = None):
             best_x, best_v = float(grid[i]), float(vals[i])
 
 
-def verify_sup(design: SignalDesign, grid_size: int | None = None) -> float:
+def verify_sup(design: SignalDesign, grid_size: int = SUP_GRID_SIZE) -> float:
     """Measured sup-norm deviation; stores it in design.epsilon_observed and
     its argmax in design.lambda_star."""
     design.lambda_star, design.epsilon_observed = sup_deviation(design, grid_size)
     return design.epsilon_observed
 
 
-def _certificate_grid(m: int) -> np.ndarray:
-    """The Lobatto grid certificates are read from: the sup grid, with at
-    least 4m + 1 nodes so that the Ehlich-Zeller factor is at most 1/cos(pi/8)."""
-    return _lobatto_grid(max(SUP_GRID_SIZE, 4 * m + 1))
+# The Lobatto grid certificates are read from.  With at least 4m + 1 nodes
+# the Ehlich-Zeller factor is at most 1/cos(pi/8) for every m <= MAX_POLES.
+if SUP_GRID_SIZE < 4 * MAX_POLES + 1:
+    raise RuntimeError(f"SUP_GRID_SIZE must be at least {4 * MAX_POLES + 1}")
+_CERTIFICATE_GRID = _lobatto_grid(SUP_GRID_SIZE)
+_CERTIFICATE_GRID.flags.writeable = False
 
 
 def _min_abs_q(poles: PoleSet) -> float:
@@ -192,9 +197,8 @@ def _min_abs_q(poles: PoleSet) -> float:
     log|q| is sum_j 1/d_j-Lipschitz on [-1,1], so in a grid cell of width h,
     |q| stays above the smaller endpoint value times exp(-(h/2) sum_j 1/d_j).
     """
-    grid = _certificate_grid(poles.m)
-    vals = np.abs(poles.node(grid))
-    pad = np.exp(-0.5 * np.diff(grid) * np.sum(1.0 / np.array(poles.distances)))
+    vals = np.abs(poles.node(_CERTIFICATE_GRID))
+    pad = np.exp(-0.5 * np.diff(_CERTIFICATE_GRID) * np.sum(1.0 / np.array(poles.distances)))
     return float(np.min(np.minimum(vals[:-1], vals[1:]) * pad))
 
 
@@ -347,7 +351,7 @@ def design_with_zero_factor(poles: PoleSet, s: ComplexPolynomial) -> SignalDesig
 
     # Ehlich-Zeller holds for real polynomials; it bounds complex N through
     # Re(exp(i theta) N) for every theta
-    grid = _certificate_grid(m)
+    grid = _CERTIFICATE_GRID
     sup_numerator = np.max(np.abs(numerator(grid))) / np.cos(m * np.pi / (2 * (grid.size - 1)))
     return _design(
         MODE_ZERO_FACTOR, poles, -numerator(poles.array),

@@ -29,21 +29,17 @@ def segment_distance(z) -> float:
 
 
 def joukowski_radius(z0) -> float:
-    """Radius R = |zeta0| > 1 with z0 = (zeta0 + 1/zeta0)/2.
+    """Radius R = |zeta0| > 1 with z0 = (zeta0 + 1/zeta0)/2."""
+    return abs(joukowski_preimage(z0))
+
+
+def joukowski_preimage(z0) -> complex:
+    """The preimage zeta0 with |zeta0| > 1.
 
     The two candidates z0 +/- sqrt(z0**2 - 1) are reciprocal; the one with
     larger modulus is the exterior preimage, so no branch-cut bookkeeping is
     needed.
     """
-    z0 = complex(z0)
-    if segment_distance(z0) <= ON_SEGMENT_TOL:
-        raise DegeneratePointError(f"{z0} lies on [-1,1]; R would equal 1")
-    w = np.sqrt(complex(z0 * z0 - 1.0))
-    return float(max(abs(z0 + w), abs(z0 - w)))
-
-
-def joukowski_preimage(z0) -> complex:
-    """The preimage zeta0 with |zeta0| > 1."""
     z0 = complex(z0)
     if segment_distance(z0) <= ON_SEGMENT_TOL:
         raise DegeneratePointError(f"{z0} lies on [-1,1]")

@@ -58,16 +58,20 @@ class ComplexPolynomial:
         return poly_eval(self, z)
 
 
+def _check_degree(m: int):
+    if m < 0:
+        raise ValueError("degree must be nonnegative")
+    if m > DEGREE_CAP:
+        raise DegreeLimitError(f"degree {m} exceeds cap {DEGREE_CAP}")
+
+
 def cheb_eval(m: int, z) -> complex:
     """T_m(z) by the three-term recurrence T_{k+1} = 2 z T_k - T_{k-1}.
 
     Works uniformly for real and complex arguments; stable for m <= 64
     and moderate |z|.
     """
-    if m < 0:
-        raise ValueError("degree must be nonnegative")
-    if m > DEGREE_CAP:
-        raise DegreeLimitError(f"degree {m} exceeds cap {DEGREE_CAP}")
+    _check_degree(m)
     z = np.asarray(z, dtype=complex)
     t_prev = np.ones_like(z)
     if m == 0:
@@ -80,21 +84,11 @@ def cheb_eval(m: int, z) -> complex:
 
 def cheb_eval_deriv(m: int, z) -> complex:
     """dT_m/dz, computed as m * U_{m-1}(z) with the Chebyshev-U recurrence."""
-    if m < 0:
-        raise ValueError("degree must be nonnegative")
-    if m > DEGREE_CAP:
-        raise DegreeLimitError(f"degree {m} exceeds cap {DEGREE_CAP}")
+    _check_degree(m)
     z = np.asarray(z, dtype=complex)
-    if m == 0:
-        out = np.zeros_like(z)
-        return out[()] if z.ndim == 0 else out
-    # U_0 = 1, U_1 = 2z, U_{k+1} = 2 z U_k - U_{k-1}
-    u_prev = np.ones_like(z)
-    if m == 1:
-        out = m * u_prev
-        return out[()] if z.ndim == 0 else out
-    u_cur = 2.0 * z
-    for _ in range(m - 2):
+    # U_{-1} = 0, U_0 = 1, U_{k+1} = 2 z U_k - U_{k-1}
+    u_prev, u_cur = np.zeros_like(z), np.ones_like(z)
+    for _ in range(m - 1):
         u_prev, u_cur = u_cur, 2.0 * z * u_cur - u_prev
     out = m * u_cur
     return out[()] if z.ndim == 0 else out

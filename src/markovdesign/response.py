@@ -96,19 +96,20 @@ class SystemModel:
         return cls("custom", z_fn, c_fn or (lambda w: 1.0 + 0j), a0)
 
 
-def model_z(model: SystemModel, omega) -> complex:
-    """z(omega), guarding the built-in maps against omega = 0."""
+def _checked_omega(model: SystemModel, omega) -> complex:
     omega = complex(omega)
     if model.kind != "custom" and omega == 0:
         raise SingularFrequencyError("built-in maps are singular at omega = 0")
-    return complex(model.z_fn(omega))
+    return omega
+
+
+def model_z(model: SystemModel, omega) -> complex:
+    """z(omega), guarding the built-in maps against omega = 0."""
+    return complex(model.z_fn(_checked_omega(model, omega)))
 
 
 def model_c(model: SystemModel, omega) -> complex:
-    omega = complex(omega)
-    if model.kind != "custom" and omega == 0:
-        raise SingularFrequencyError("built-in maps are singular at omega = 0")
-    return complex(model.c_fn(omega))
+    return complex(model.c_fn(_checked_omega(model, omega)))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 
 import markovdesign.design
 from markovdesign import cli
+from markovdesign.design import verify_sup
 from markovdesign.measure import DiscreteMeasure, markov_eval, moments
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -42,6 +46,15 @@ NON_FINITE = [
 ]
 
 REGION = {"z0": [0.308824, -0.764706], "r": 1.0}
+
+# 48 poles z_k on the ellipse 1.9 cos + 0.9i sin through the lossy-dielectric
+# map: the moments(8) certificate epsilon ~ 1.7e-10 is smaller than its
+# float64 rounding error, so the measured deviation exceeds it
+_THETA = 2.0 * np.pi * np.arange(48) / 48 + 0.1
+_ELLIPSE_OMEGAS = 1j / (1.9 * np.cos(_THETA) + 0.9j * np.sin(_THETA) - 2.0)
+ELLIPSE_MOMENTS = dict(BASE, frequencies=[[w.real, w.imag] for w in _ELLIPSE_OMEGAS],
+                       design={"mode": "moments", "n": 8},
+                       stress={"measure_count": 200, "operator_count": 3})
 
 # Scenario values of the wrong type or out of range, with the command that
 # reads them and the field the error names.
@@ -160,6 +173,16 @@ class TestScenarioValidation:
         assert run("design", path, tmp_path, "--grid-size", "4") == 2
 
 
+ALL_MODES = {
+    "unit": {"mode": "unit"},
+    "moments": {"mode": "moments", "n": 2},
+    "frequency_target": {"mode": "frequency_target", "omega0": [0.0, 0.7]},
+    "derivative_target": {"mode": "derivative_target", "omega0": [0.0, 0.7]},
+    # s(lambda) = lambda - z_1 drops the first frequency
+    "zero_factor": {"mode": "zero_factor", "coeffs": [[-2.5, -0.5], [1.0, 0.0]]},
+}
+
+
 class TestDesignCommand:
     def test_report_contents(self, tmp_path):
         path = write_scenario(tmp_path, BASE)
@@ -195,6 +218,41 @@ class TestDesignCommand:
                    "--grid-size", "16") == 0
         assert markovdesign.design.SUP_GRID_SIZE == 4096
 
+    @pytest.mark.parametrize("mode", sorted(ALL_MODES))
+    def test_grid_size_moves_only_epsilon_observed(self, tmp_path, mode):
+        obj = dict(BASE, design=ALL_MODES[mode])
+        path = write_scenario(tmp_path, obj)
+        reports = {}
+        for size in (None, 8, 16):
+            flag = () if size is None else ("--grid-size", str(size))
+            assert run("design", path, tmp_path / str(size), *flag) == 0
+            reports[size] = json.loads((tmp_path / str(size) / "design.json").read_text())
+            design = cli._designed(obj)[2]
+            expected = design.epsilon_observed if size is None else verify_sup(design, size)
+            assert reports[size]["epsilon_observed"] == expected
+        assert reports[8]["epsilon"] == reports[16]["epsilon"] == reports[None]["epsilon"]
+
+    def test_grid_size_runs_do_not_interact(self, tmp_path):
+        path = str(SCENARIO_DIR / "fig4_dielectric.json")
+        assert run("design", path, tmp_path / "coarse", "--grid-size", "16") == 0
+        assert run("design", path, tmp_path / "after") == 0
+        # a fresh interpreter has never seen a --grid-size
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "markovdesign.cli", "design", "--scenario", path,
+                        "--out", str(tmp_path / "fresh")], check=True, env=env,
+                       capture_output=True)
+        assert ((tmp_path / "after" / "design.json").read_bytes()
+                == (tmp_path / "fresh" / "design.json").read_bytes())
+
+    def test_violated_certificate_exits_3(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, ELLIPSE_MOMENTS)
+        assert run("design", path, tmp_path) == 3
+        report = json.loads((tmp_path / "design.json").read_text())
+        assert report["epsilon_observed"] > report["epsilon"] * (1.0 + 1e-12)
+        assert str(tmp_path / "design.json") in capsys.readouterr().err
+
     def test_smallest_grid_size_certifies_zero_factor(self, tmp_path):
         # 12 frequencies on a circle in the upper half plane; the certificate
         # grid keeps the Ehlich-Zeller bound valid however small the sup grid
@@ -214,16 +272,6 @@ class TestDesignCommand:
         # z(0.7i) = 2 + i/(0.7i) = 2 + 1/0.7
         assert complex(*report["z0"]) == pytest.approx(2.0 + 1.0 / 0.7)
         assert "b_m" in report
-
-
-ALL_MODES = {
-    "unit": {"mode": "unit"},
-    "moments": {"mode": "moments", "n": 2},
-    "frequency_target": {"mode": "frequency_target", "omega0": [0.0, 0.7]},
-    "derivative_target": {"mode": "derivative_target", "omega0": [0.0, 0.7]},
-    # s(lambda) = lambda - z_1 drops the first frequency
-    "zero_factor": {"mode": "zero_factor", "coeffs": [[-2.5, -0.5], [1.0, 0.0]]},
-}
 
 
 class TestVerifyCommand:
@@ -282,18 +330,12 @@ class TestVerifyCommand:
         assert report["random_measure_stress"]["within_epsilon"] is True
         assert report["operator_sweep"]["all_certified"] is True
 
-    def test_flags_agree_with_epsilon_below_rounding_floor(self, tmp_path):
-        # 48 poles z_k on the ellipse 1.9 cos + 0.9i sin through the
-        # lossy-dielectric map: the moments(8) certificate epsilon ~ 1.7e-10 is
-        # smaller than its float64 rounding error, so an absolute slack of
-        # 1e-9 would report any deviation as within it
-        theta = 2.0 * np.pi * np.arange(48) / 48 + 0.1
-        omegas = 1j / (1.9 * np.cos(theta) + 0.9j * np.sin(theta) - 2.0)
-        obj = dict(BASE, frequencies=[[w.real, w.imag] for w in omegas],
-                   design={"mode": "moments", "n": 8},
-                   stress={"measure_count": 200, "operator_count": 3})
-        path = write_scenario(tmp_path, obj)
-        assert run("verify", path, tmp_path) == 0
+    def test_flags_agree_with_epsilon_below_rounding_floor(self, tmp_path, capsys):
+        # ELLIPSE_MOMENTS: an absolute slack of 1e-9 would report any
+        # deviation from its epsilon ~ 1.7e-10 as within it
+        path = write_scenario(tmp_path, ELLIPSE_MOMENTS)
+        assert run("verify", path, tmp_path) == 3
+        assert str(tmp_path / "verify.json") in capsys.readouterr().err
         report = json.loads((tmp_path / "verify.json").read_text())
         held = report["design"]["epsilon"] * (1.0 + 1e-12)
         stress, sweep = report["random_measure_stress"], report["operator_sweep"]
