@@ -28,10 +28,6 @@ from . import response as rz
 from .geometry import DegeneratePointError, RegionSpec, in_region_H
 from .polynomial import ComplexPolynomial, DegreeLimitError
 
-# a relative tie between a deviation and its certificate: an absolute one
-# passes any violation of an epsilon below it
-CERT_RTOL = 1e-12
-
 
 class CertificateViolation(ArithmeticError):
     """A written report whose measured deviation exceeds its certificate."""
@@ -313,7 +309,7 @@ def _designed(scenario: dict, grid_size=None):
 
 
 def _require_certified(path: Path, design: dz.SignalDesign, *flags: bool):
-    if not (design.epsilon_observed <= design.epsilon * (1.0 + CERT_RTOL) and all(flags)):
+    if not (design.epsilon_observed <= design.epsilon * (1.0 + dz.CERT_RTOL) and all(flags)):
         raise CertificateViolation(f"{path}: the certificate epsilon does not hold")
 
 
@@ -344,7 +340,7 @@ def cmd_verify(scenario: dict, out_dir: Path, seed: int, grid_size) -> Path:
         "random_measure_stress": {
             "count": measure_count,
             "max_deviation": float(deviations.max()),
-            "within_epsilon": bool(deviations.max() <= design.epsilon * (1.0 + CERT_RTOL)),
+            "within_epsilon": bool(deviations.max() <= design.epsilon * (1.0 + dz.CERT_RTOL)),
         },
     }
     if design.gammas is not None:

@@ -45,6 +45,8 @@ from .polynomial import (
 
 MAX_POLES = 48
 SUP_GRID_SIZE = 4096
+# a relative tie, epsilon * (1 + CERT_RTOL): an absolute one hides violations of a tiny epsilon
+CERT_RTOL = 1e-12
 
 MODE_UNIT = "unit"
 MODE_MOMENTS = "moments"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import SignalDesign
+from .design import CERT_RTOL, SignalDesign
 
 DIM_CAP = 64
 HERMITIAN_TOL = 1e-12
@@ -87,4 +87,4 @@ def verify_operator_bound(A: HermitianOperator, design: SignalDesign):
     """Spectral norm of the combination and whether the certificate holds."""
     comb = resolvent_combination(A, design)
     norm = float(np.linalg.svd(comb, compute_uv=False)[0])
-    return norm, norm <= design.epsilon * (1.0 + 1e-12)  # relative tie allowance
+    return norm, norm <= design.epsilon * (1.0 + CERT_RTOL)

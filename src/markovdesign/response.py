@@ -16,7 +16,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .design import SignalDesign
-from .geometry import segment_distance
 from .measure import DiscreteMeasure, markov_eval
 
 
@@ -137,12 +136,17 @@ def _phases(omegas: np.ndarray, times: np.ndarray, t0: float) -> np.ndarray:
     return np.exp(-1j * omegas[:, None] * (times[None, :] - t0))
 
 
-def synthesize_input(design: SignalDesign, model: SystemModel,
-                     omegas: Sequence[complex], grid: TimeGrid) -> np.ndarray:
-    """u(t) = sum_k (alpha_k / c(omega_k)) exp(-i omega_k (t - t0))."""
+def _design_omegas(design: SignalDesign, omegas: Sequence[complex]) -> np.ndarray:
     omegas = np.asarray(omegas, dtype=complex)
     if omegas.size != design.poles.m:
         raise ValueError("need one frequency per design pole")
+    return omegas
+
+
+def synthesize_input(design: SignalDesign, model: SystemModel,
+                     omegas: Sequence[complex], grid: TimeGrid) -> np.ndarray:
+    """u(t) = sum_k (alpha_k / c(omega_k)) exp(-i omega_k (t - t0))."""
+    omegas = _design_omegas(design, omegas)
     cvals = np.array([model_c(model, w) for w in omegas])
     if np.any(np.abs(cvals) == 0):
         raise ValueError("c(omega_k) = 0: the input amplitude is undefined")
@@ -153,11 +157,9 @@ def synthesize_input(design: SignalDesign, model: SystemModel,
 def simulate_response(design: SignalDesign, model: SystemModel,
                       omegas: Sequence[complex], mu: DiscreteMeasure,
                       grid: TimeGrid) -> np.ndarray:
-    """v(t) = a0 sum_k alpha_k F_mu(z(omega_k)) exp(-i omega_k (t - t0))."""
-    omegas = np.asarray(omegas, dtype=complex)
-    if omegas.size != design.poles.m:
-        raise ValueError("need one frequency per design pole")
-    fvals = np.array([markov_eval(mu, model_z(model, w)) for w in omegas])
+    """v(t) = a0 sum_k alpha_k F_mu(z_k) exp(-i omega_k (t - t0)), z_k the design's poles."""
+    omegas = _design_omegas(design, omegas)
+    fvals = np.array([markov_eval(mu, z) for z in design.poles.points])
     return model.a0 * (design.alphas * fvals) @ _phases(omegas, grid.times, grid.t0)
 
 
@@ -294,18 +296,18 @@ def response_bounds(design: SignalDesign, model: SystemModel,
     it.  Each pivot enters the atom of least reduced cost, Dantzig's ratio
     test picks the one that leaves, and the best certificate is kept.
     Unknown moments zero their rows of u and w.  The upper bound is minus the
-    lower bound of -g_t.
+    lower bound of -g_t, whose rows run through the same simplex below those
+    of g_t.  The poles z_k and their distances d_k come from the design.
 
     Returns (lower, upper) arrays aligned with grid.times, including the a0
     scale.
     """
+    omegas = _design_omegas(design, omegas)
     _check_moment_feasibility(known_moments)
     n = len(known_moments)
-    omegas = np.asarray(omegas, dtype=complex)
-    zvals = np.array([model_z(model, w) for w in omegas])
     lam = np.linspace(-1.0, 1.0, atom_grid_size)
     h = lam[1] - lam[0]
-    dists = np.array([segment_distance(z) for z in zvals])
+    dists = np.array(design.poles.distances)
 
     # c_k(t) as a (T, m) array
     coeffs = ((design.alphas * np.exp(1j * theta))[:, None]
@@ -317,13 +319,13 @@ def response_bounds(design: SignalDesign, model: SystemModel,
     moments = np.stack([np.ones_like(lam), u * (n >= 1), (u * u - (m2 - m1 * m1)) * (n == 2)])
     band = h * h / 4.0 * (n == 2)
     basis, signs = _starting_basis(lam, m1, m2 - m1 * m1, n, band)
-    inv = 1.0 / (lam[None, :] - zvals[:, None])
-    parts = np.hstack([coeffs.real, -coeffs.imag]), np.vstack([inv.real, inv.imag])
-    # g_t on the grid, a row per time, and a residual buffer in one block,
-    # which later calls can reuse
-    g, residual = np.empty((2, grid.times.size, lam.size))
-    np.matmul(*parts, out=g)
-    lower = _best_certificate(g, moments, basis, signs, band, tol, residual) - pad
-    np.matmul(-parts[0], parts[1], out=g)
-    upper = pad - _best_certificate(g, moments, basis, signs, band, tol, residual)
-    return model.a0 * lower, model.a0 * upper
+    inv = 1.0 / (lam[None, :] - design.poles.array[:, None])
+    # g_t on the grid, a row per time, over -g_t, and a residual buffer of the
+    # same shape
+    steps = grid.times.size
+    g, residual = np.empty((2, 2 * steps, lam.size))
+    np.matmul(np.hstack([coeffs.real, -coeffs.imag]), np.vstack([inv.real, inv.imag]),
+              out=g[:steps])
+    np.negative(g[:steps], out=g[steps:])
+    best = _best_certificate(g, moments, basis, signs, band, np.tile(tol, 2), residual)
+    return model.a0 * (best[:steps] - pad), model.a0 * (pad - best[steps:])

@@ -229,11 +229,18 @@ class TestSynthesisAndSimulation:
             parts += model.a0 * c * f * beta * np.exp(-1j * w * (grid.times - grid.t0))
         assert np.allclose(v, parts, rtol=1e-10, atol=1e-12)
 
-    def test_frequency_count_mismatch_rejected(self):
+    @pytest.mark.parametrize("size", [1, 2])
+    @pytest.mark.parametrize("function, args", [
+        (synthesize_input, ()),
+        (simulate_response, (MU,)),
+        (response_bounds, ([0.4], 0.0)),
+    ], ids=["synthesize_input", "simulate_response", "response_bounds"])
+    def test_frequency_count_mismatch_rejected(self, function, args, size):
+        # three poles: one frequency would broadcast against them unchecked
         model, design = dielectric_setup()
         grid = TimeGrid(t_start=-1.0, t_end=1.0, steps=11)
-        with pytest.raises(ValueError):
-            synthesize_input(design, model, OMEGAS[:2], grid)
+        with pytest.raises(ValueError, match="one frequency per design pole"):
+            function(design, model, OMEGAS[:size], *args, grid)
 
     def test_single_frequency_response_shape(self):
         model = SystemModel.lossy_dielectric()
@@ -305,6 +312,19 @@ class TestResponseBounds:
             rotated = (np.exp(1j * np.pi / 2) * v).real
             assert np.all(lower - 1e-9 <= rotated)
             assert np.all(rotated <= upper + 1e-9)
+
+    @pytest.mark.parametrize("known", [[], [0.4], [0.4, 0.3]])
+    def test_half_turn_swaps_and_negates_the_envelope(self, known):
+        # Re[e^{i(theta + pi)} v] = -Re[e^{i theta} v]: its lower bound is
+        # minus the upper one at theta and vice versa, so the rows of -g_t
+        # map back to the upper envelope with the right sign
+        model, omegas, design, grid = scenario_setup("fig4_dielectric")
+        lower, upper = response_bounds(design, model, omegas, known, 1.0, grid)
+        flip_lower, flip_upper = response_bounds(design, model, omegas, known, 1.0 + np.pi, grid)
+        _, magnitude, _ = integrand(design, omegas, 1.0, grid.times, grid.t0)
+        tol = 1e-12 * model.a0 * magnitude
+        assert np.all(np.abs(flip_lower + upper) <= tol)
+        assert np.all(np.abs(flip_upper + lower) <= tol)
 
     def test_moments_design_pinch_uses_known_moments(self):
         # a moments(1) design pinches v(t0)/a0 to gamma_0 + gamma_1 M1
