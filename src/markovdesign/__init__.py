@@ -23,6 +23,7 @@ from .measure import (
 )
 from .operators import (
     HermitianOperator,
+    operator_sweep,
     random_hermitian_in_spectrum,
     resolvent_combination,
     verify_operator_bound,
@@ -68,6 +69,7 @@ __all__ = [
     "random_measure_with_moments",
     "worst_case_point_mass",
     "HermitianOperator",
+    "operator_sweep",
     "random_hermitian_in_spectrum",
     "resolvent_combination",
     "verify_operator_bound",

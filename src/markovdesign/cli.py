@@ -344,15 +344,10 @@ def cmd_verify(scenario: dict, out_dir: Path, seed: int, grid_size) -> Path:
         },
     }
     if design.gammas is not None:
-        norms, certified = zip(*(
-            oz.verify_operator_bound(oz.random_hermitian_in_spectrum(op_dim, seed + i), design)
-            for i in range(op_count)))
-        report["operator_sweep"] = {
-            "dim": op_dim,
-            "count": op_count,
-            "max_norm": max(norms),
-            "all_certified": all(certified),
-        }
+        norms, certified = oz.operator_sweep(design, op_dim, range(seed, seed + op_count))
+        report["operator_sweep"] = {"dim": op_dim, "count": op_count,
+                                    "max_norm": float(norms.max()),
+                                    "all_certified": bool(certified.all())}
     path = out_dir / "verify.json"
     write_json(path, report)
     _require_certified(path, design, report["random_measure_stress"]["within_epsilon"],
@@ -426,17 +421,19 @@ COMMANDS = {
 }
 
 
+PARSER = argparse.ArgumentParser(
+    prog="markovdesign",
+    description="Design and verify measure-independent multi-frequency signals.")
+PARSER.add_argument("command", choices=sorted(COMMANDS))
+PARSER.add_argument("--scenario", required=True, help="scenario JSON path")
+PARSER.add_argument("--out", default=".", help="output directory")
+PARSER.add_argument("--seed", type=int, default=None, help="override scenario seed")
+PARSER.add_argument("--grid-size", type=int, default=None,
+                    help="verification grid size (epsilon_observed only, not epsilon)")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="markovdesign",
-        description="Design and verify measure-independent multi-frequency signals.")
-    parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--scenario", required=True, help="scenario JSON path")
-    parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="override scenario seed")
-    parser.add_argument("--grid-size", type=int, default=None,
-                        help="verification grid size (epsilon_observed only, not epsilon)")
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
 
     try:
         scenario = load_scenario(args.scenario)

@@ -182,6 +182,8 @@ def crest_ratio(alphas: Sequence[complex], model: SystemModel,
     """
     alphas = np.asarray(alphas, dtype=complex)
     omegas = np.asarray(omegas, dtype=complex)
+    if alphas.shape != omegas.shape:
+        raise ValueError("need one frequency per residue")
     fvals = np.array([markov_eval(reference_mu, model_z(model, w)) for w in omegas])
     times = grid.times
     mask = times <= grid.t0

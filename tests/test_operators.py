@@ -1,11 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
 from markovdesign.design import PoleSet, design_frequency_target, design_moments, design_unit
 from markovdesign.measure import DiscreteMeasure, markov_eval
+from markovdesign import cli
 from markovdesign.operators import (
+    SWEEP_CHUNK,
     HermitianOperator,
     OperatorError,
+    operator_sweep,
     random_hermitian_in_spectrum,
     resolvent_combination,
     verify_operator_bound,
@@ -31,6 +36,12 @@ class TestHermitianOperator:
     def test_non_square_rejected(self):
         with pytest.raises(OperatorError):
             HermitianOperator(entries=((0.0, 0.0),))
+
+    @pytest.mark.parametrize("entries", [((np.nan,),), ((0.5, np.nan), (np.nan, 0.2)),
+                                         ((np.inf,),), ((0.1, 1j * np.inf), (0.0, 0.1))])
+    def test_non_finite_rejected(self, entries):
+        with pytest.raises(OperatorError, match="finite"):
+            HermitianOperator(entries=entries)
 
     def test_dimension_cap(self):
         with pytest.raises(OperatorError):
@@ -107,3 +118,45 @@ class TestVerifyOperatorBound:
             a = random_hermitian_in_spectrum(6, seed)
             norm, _ = verify_operator_bound(a, design)
             assert norm <= design.epsilon_observed + 1e-9
+
+
+class TestOperatorSweep:
+    @pytest.mark.parametrize("make", [design_unit, lambda poles: design_moments(poles, 2)],
+                             ids=["unit", "moments_n2"])
+    @pytest.mark.parametrize("dim, seeds", [(8, range(150)), (64, range(7, 10))],
+                             ids=["dim8", "dim64"])
+    def test_matches_one_operator_at_a_time(self, make, dim, seeds):
+        assert SWEEP_CHUNK == 64  # so 150 seeds span three stacks
+        design = make(POLES)
+        norms, certified = operator_sweep(design, dim, seeds)
+        one_by_one = [verify_operator_bound(random_hermitian_in_spectrum(dim, s), design)
+                      for s in seeds]
+        assert np.array_equal(norms, [norm for norm, _ in one_by_one])
+        assert np.array_equal(certified, [ok for _, ok in one_by_one])
+        assert certified.all()
+
+    def test_target_mode_unsupported(self):
+        with pytest.raises(OperatorError):
+            operator_sweep(design_frequency_target(POLES, 2.2 + 0.8j), 4, range(3))
+
+    def test_empty_sweep_rejected(self):
+        with pytest.raises(OperatorError):
+            operator_sweep(design_unit(POLES), 4, range(0))
+
+    def test_dimension_cap(self):
+        with pytest.raises(OperatorError):
+            operator_sweep(design_unit(POLES), 65, range(3))
+
+    def test_verify_with_many_operators(self, tmp_path):
+        scenario = {
+            "model": {"kind": "lossy_dielectric", "a0": 0.6},
+            "frequencies": [[1.0, 1.0], [0.5, 0.3], [2.0, 0.5]],
+            "design": {"mode": "moments", "n": 1},
+            "stress": {"measure_count": 10, "operator_count": 150},
+            "seed": 3,
+        }
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        assert cli.main(["verify", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+        sweep = json.loads((tmp_path / "verify.json").read_text())["operator_sweep"]
+        assert sweep["count"] == 150 and sweep["all_certified"] is True

@@ -264,6 +264,11 @@ class TestCrestRatio:
         ratio = crest_ratio(design.alphas, model, OMEGAS, grid, MU)
         assert ratio == pytest.approx(1.0)
 
+    def test_one_residue_per_frequency(self):
+        with pytest.raises(ValueError, match="one frequency per residue"):
+            crest_ratio([1.0], SystemModel.lossy_dielectric(), [1 + 1j, 0.5 + 0.3j, 2 + 0.5j],
+                        TimeGrid(-2.0, 1.0, 31), DiscreteMeasure((0.0,), (1.0,)))
+
 
 class TestResponseBounds:
     GRID = TimeGrid(t_start=-3.0, t_end=1.0, steps=21, t0=0.0)
