@@ -35,6 +35,7 @@ import numpy as np
 
 from .geometry import ON_SEGMENT_TOL, RegionSpec, in_region_H, segment_distance
 from .polynomial import (
+    DEGREE_CAP,
     ComplexPolynomial,
     cheb_eval,
     cheb_eval_deriv,
@@ -163,6 +164,8 @@ def sup_deviation(design: SignalDesign, grid_size: int = SUP_GRID_SIZE):
     Returns (lambda_star, value) for the best point evaluated, so the value
     is never below the grid maximum.
     """
+    if grid_size < 2:
+        raise ValueError("grid_size must be at least 2")
     grid = _lobatto_grid(grid_size)
     vals = design.deviation(grid)
     i = int(np.argmax(vals))
@@ -251,8 +254,8 @@ def design_moments(poles: PoleSet, n: int) -> SignalDesign:
     if n < 0:
         raise DesignError("moment count n must be nonnegative")
     m = poles.m
-    if m + n > 64:
-        raise DesignError(f"m + n = {m + n} exceeds the degree cap 64")
+    if m + n > DEGREE_CAP:
+        raise DesignError(f"m + n = {m + n} exceeds the degree cap {DEGREE_CAP}")
     quotient, _ = poly_divmod(monic_cheb(m + n), poles.q())
     gammas = np.pad(quotient.array, (0, n + 1 - quotient.array.size))
     gammas[-1] = 1.0  # quotient of two monic polynomials; pin exactly

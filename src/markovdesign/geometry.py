@@ -58,12 +58,10 @@ class RegionSpec:
 
     def __post_init__(self):
         z0 = complex(self.z0)
-        if segment_distance(z0) <= ON_SEGMENT_TOL:
-            raise DegeneratePointError("z0 must lie off [-1,1]")
-        if self.r <= 0:
-            raise ValueError("r must be positive")
         object.__setattr__(self, "z0", z0)
-        object.__setattr__(self, "R", joukowski_radius(z0))
+        object.__setattr__(self, "R", joukowski_radius(z0))  # z0 on [-1,1] raises
+        if not self.r > 0:  # NaN fails too
+            raise ValueError("r must be positive")
         if self.r >= self.R:
             raise ValueError(f"r={self.r} must be < R={self.R}")
 

@@ -99,8 +99,6 @@ def monic_from_roots(roots) -> ComplexPolynomial:
     roots = list(roots)
     if not roots:
         raise ValueError("roots list must be nonempty")
-    if len(roots) > DEGREE_CAP:
-        raise DegreeLimitError(f"{len(roots)} roots exceed degree cap {DEGREE_CAP}")
     coeffs = nppoly.polyfromroots(np.asarray(roots, dtype=complex))
     return ComplexPolynomial(tuple(coeffs))
 
@@ -116,8 +114,6 @@ def poly_divmod(a: ComplexPolynomial, b: ComplexPolynomial):
     """Euclidean division a = b*quotient + remainder, deg(remainder) < deg(b)."""
     if b.degree < 1:
         raise ValueError("divisor must have degree >= 1")
-    if b.coeffs[-1] == 0:
-        raise ZeroDivisionError("divisor has zero leading coefficient")
     quo, rem = nppoly.polydiv(a.array, b.array)
     return ComplexPolynomial(tuple(quo)), ComplexPolynomial(tuple(rem))
 
@@ -127,8 +123,6 @@ def monic_cheb(m: int) -> ComplexPolynomial:
     on [-1,1] (norm 1/2**(m-1))."""
     if m < 1:
         raise ValueError("monic normalization by 2**(m-1) requires m >= 1")
-    if m > DEGREE_CAP:
-        raise DegreeLimitError(f"degree {m} exceeds cap {DEGREE_CAP}")
     basis = np.zeros(m + 1)
     basis[m] = 1.0
     coeffs = npcheb.cheb2poly(basis) / 2.0 ** (m - 1)

@@ -119,8 +119,8 @@ class TimeGrid:
     t0: float = 0.0
 
     def __post_init__(self):
-        if self.t_start >= self.t_end:
-            raise ValueError("t_start must be < t_end")
+        if not -np.inf < self.t_start < self.t_end < np.inf:  # NaN fails too
+            raise ValueError("need finite t_start < t_end")
         if self.steps < 2:
             raise ValueError("need at least 2 time steps")
         if not self.t_start <= self.t0 <= self.t_end:
@@ -171,26 +171,20 @@ def single_frequency_response(model: SystemModel, omega0: complex,
     return model.a0 * f0 * np.exp(-1j * complex(omega0) * (grid.times - grid.t0))
 
 
-def crest_ratio(alphas: Sequence[complex], model: SystemModel,
-                omegas: Sequence[complex], grid: TimeGrid,
-                reference_mu: DiscreteMeasure,
-                real_part_only: bool = False) -> float:
-    """max over grid times t <= t0 of |v(t)| / |v(t0)| for a reference measure.
+def crest_ratio(design: SignalDesign, omegas: Sequence[complex], grid: TimeGrid,
+                reference_mu: DiscreteMeasure, real_part_only: bool = False) -> float:
+    """max over grid times t <= t0 of |v(t)| / |v(t0)| for a reference measure,
+    z_k the design's poles.
 
     With real_part_only the ratio is taken on Re[v] instead (conjugate-paired
     designs).
     """
-    alphas = np.asarray(alphas, dtype=complex)
-    omegas = np.asarray(omegas, dtype=complex)
-    if alphas.shape != omegas.shape:
-        raise ValueError("need one frequency per residue")
-    fvals = np.array([markov_eval(reference_mu, model_z(model, w)) for w in omegas])
+    omegas = _design_omegas(design, omegas)
+    weights = design.alphas * np.array([markov_eval(reference_mu, z) for z in design.poles.points])
     times = grid.times
-    mask = times <= grid.t0
-    if not np.any(mask):
-        raise ValueError("grid must cover t <= t0")
-    series = (alphas * fvals) @ _phases(omegas, times[mask], grid.t0)
-    at_t0 = complex((alphas * fvals) @ np.ones(omegas.size))
+    # TimeGrid keeps t_start <= t0, so some grid time is at or before t0
+    series = weights @ _phases(omegas, times[times <= grid.t0], grid.t0)
+    at_t0 = complex(weights.sum())
     if real_part_only:
         series, at_t0 = series.real, at_t0.real
     if at_t0 == 0:
@@ -306,6 +300,8 @@ def response_bounds(design: SignalDesign, model: SystemModel,
     """
     omegas = _design_omegas(design, omegas)
     _check_moment_feasibility(known_moments)
+    if atom_grid_size < 2:
+        raise ValueError("atom_grid_size must be at least 2")
     n = len(known_moments)
     lam = np.linspace(-1.0, 1.0, atom_grid_size)
     h = lam[1] - lam[0]

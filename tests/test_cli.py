@@ -73,6 +73,12 @@ BAD_VALUES = [
     ("verify", "stress", [1], "stress"),
     ("simulate", "grid", dict(BASE["grid"], steps=10.5), "grid.steps"),
     ("simulate", "grid", 3, "grid"),
+    ("simulate", "grid", dict(BASE["grid"], t_end=float("inf")), "grid"),
+    ("bounds", "grid", dict(BASE["grid"], t_start=float("-inf")), "grid"),
+    ("simulate", "measure", {"atoms": ["a", "b"], "weights": [0.5, 0.5]}, "measure"),
+    ("region", "region", dict(REGION, r=float("nan")), "region"),
+    ("region", "region", dict(REGION, r=None), "region"),
+    ("region", "region", dict(REGION, r=[1]), "region"),
     ("region", "region", dict(REGION, samples="abc"), "region.samples"),
     ("region", "region", dict(REGION, samples=-1), "region.samples"),
     ("bounds", "moments_cases", 5, "moments_cases"),

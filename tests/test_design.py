@@ -360,6 +360,13 @@ class TestVerifySup:
         assert design.deviation(design.lambda_star) == pytest.approx(
             design.epsilon_observed, rel=1e-9)
 
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_grid_below_two_rejected(self, size):
+        # one Lobatto node is NaN, and the zoom would never narrow
+        design = design_unit(PoleSet(points=DIELECTRIC_POLES))
+        with pytest.raises(ValueError, match="grid_size"):
+            verify_sup(design, size)
+
     def test_stores_observation(self):
         design = design_unit(PoleSet(points=DIELECTRIC_POLES))
         design.epsilon_observed = float("nan")

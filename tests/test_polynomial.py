@@ -81,6 +81,10 @@ class TestMonicFromRoots:
         with pytest.raises(ValueError):
             monic_from_roots([])
 
+    def test_degree_cap(self):
+        with pytest.raises(DegreeLimitError):
+            monic_from_roots([0.5] * 65)
+
 
 class TestPolyEval:
     def test_root(self):
@@ -145,6 +149,10 @@ class TestMonicCheb:
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             monic_cheb(0)
+
+    def test_degree_cap(self):
+        with pytest.raises(DegreeLimitError):
+            monic_cheb(65)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 9, 16])
     def test_sup_norm_on_interval(self, m):

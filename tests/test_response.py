@@ -199,6 +199,12 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(t_start=1.0, t_end=0.0, steps=3)
 
+    @pytest.mark.parametrize("t_start, t_end", [
+        (-1.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (-1.0, np.nan)])
+    def test_non_finite_interval_rejected(self, t_start, t_end):
+        with pytest.raises(ValueError, match="finite"):
+            TimeGrid(t_start=t_start, t_end=t_end, steps=3)
+
 
 class TestSynthesisAndSimulation:
     def test_response_at_t0_is_measure_independent(self):
@@ -253,21 +259,37 @@ class TestSynthesisAndSimulation:
 
 class TestCrestRatio:
     def test_at_least_one(self):
-        model, design = dielectric_setup()
+        _, design = dielectric_setup()
         grid = TimeGrid(t_start=-5.0, t_end=0.0, steps=101, t0=0.0)
-        ratio = crest_ratio(design.alphas, model, OMEGAS, grid, MU)
+        ratio = crest_ratio(design, OMEGAS, grid, MU)
         assert ratio >= 1.0 - 1e-12
 
     def test_ratio_is_one_when_only_t0_sampled(self):
-        model, design = dielectric_setup()
+        _, design = dielectric_setup()
         grid = TimeGrid(t_start=1.0, t_end=2.0, steps=11, t0=1.0)
-        ratio = crest_ratio(design.alphas, model, OMEGAS, grid, MU)
+        ratio = crest_ratio(design, OMEGAS, grid, MU)
         assert ratio == pytest.approx(1.0)
 
     def test_one_residue_per_frequency(self):
-        with pytest.raises(ValueError, match="one frequency per residue"):
-            crest_ratio([1.0], SystemModel.lossy_dielectric(), [1 + 1j, 0.5 + 0.3j, 2 + 0.5j],
-                        TimeGrid(-2.0, 1.0, 31), DiscreteMeasure((0.0,), (1.0,)))
+        _, design = dielectric_setup()
+        with pytest.raises(ValueError, match="one frequency per design pole"):
+            crest_ratio(design, OMEGAS[:1], TimeGrid(-2.0, 1.0, 31),
+                        DiscreteMeasure((0.0,), (1.0,)))
+
+    def test_real_part_against_hand_computed_response(self):
+        _, design = dielectric_setup()
+        grid = TimeGrid(t_start=-3.0, t_end=1.0, steps=41, t0=0.0)
+        atoms, weights = np.array(MU.atoms), np.array(MU.weights)
+
+        def re_v(t):
+            # v(t) / a0 = sum_k alpha_k sum_j w_j / (lambda_j - z_k) exp(-i omega_k t)
+            return sum(a * np.sum(weights / (atoms - z)) * np.exp(-1j * w * t)
+                       for a, z, w in zip(design.alphas, design.poles.points, OMEGAS)).real
+
+        want = max(abs(re_v(t)) for t in grid.times if t <= 0.0) / abs(re_v(0.0))
+        assert crest_ratio(design, OMEGAS, grid, MU, real_part_only=True) == pytest.approx(
+            want, rel=1e-12)
+        assert want != pytest.approx(crest_ratio(design, OMEGAS, grid, MU), rel=1e-3)
 
 
 class TestResponseBounds:
@@ -283,6 +305,12 @@ class TestResponseBounds:
             response_bounds(design, model, OMEGAS, [0.5, 0.1], 0.0, self.GRID)
         with pytest.raises(InfeasibleMomentsError):
             response_bounds(design, model, OMEGAS, [0.1, 0.2, 0.3], 0.0, self.GRID)
+
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_atom_grid_below_two_rejected(self, size):
+        model, design = dielectric_setup()
+        with pytest.raises(ValueError, match="atom_grid_size"):
+            response_bounds(design, model, OMEGAS, [], 0.0, self.GRID, atom_grid_size=size)
 
     def test_bounds_are_ordered(self):
         model, design = dielectric_setup()
