@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import os
 import re
@@ -85,13 +86,24 @@ def _integer(value, path: str, low: int, high: float = np.inf) -> int:
     return value
 
 
+def _real(value, path: str) -> float:
+    # bool is an int subclass; NaN, infinities and ints past float range fail the bound
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ScenarioError(path, "must be a finite number")
+    return float(value)
+
+
+def _reals(values, path: str) -> list:
+    if not isinstance(values, list):
+        raise ScenarioError(path, "must be a list of numbers")
+    return [_real(v, f"{path}[{i}]") for i, v in enumerate(values)]
+
+
 def _as_complex(value, path: str) -> complex:
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(v, (int, float)) for v in value)):
+    if not isinstance(value, list) or len(value) != 2:
         raise ScenarioError(path, "complex numbers are two-element [re, im] arrays")
-    if not np.all(np.isfinite(value)):
-        raise ScenarioError(path, "real and imaginary parts must be finite")
-    return complex(value[0], value[1])
+    return complex(*_reals(value, path))
 
 
 def _complex_pair(z: complex):
@@ -114,8 +126,8 @@ def load_scenario(path: str) -> dict:
 def build_model(scenario: dict) -> rz.SystemModel:
     spec = _require(scenario, "model", "")
     kind = _require(spec, "kind", "model")
-    a0 = spec.get("a0", 1.0)
-    if not isinstance(a0, (int, float)) or not 0 < a0 < np.inf:
+    a0 = _real(spec.get("a0", 1.0), "model.a0")
+    if not a0 > 0:
         raise ScenarioError("model.a0", "must be a positive finite number")
     if kind == "lossy_dielectric":
         return rz.SystemModel.lossy_dielectric(a0)
@@ -127,8 +139,10 @@ def build_model(scenario: dict) -> rz.SystemModel:
             raise ScenarioError("model.phases", "need exactly two phase objects")
         built = []
         for i, ph in enumerate(phases):
-            with _field(f"model.phases[{i}]"):
-                built.append(rz.MaxwellPhase(G=ph["G"], eta=ph.get("eta")))
+            path = f"model.phases[{i}]"
+            numbers = {k: _real(v, f"{path}.{k}") for k, v in _object(ph, path).items()}
+            with _field(path):
+                built.append(rz.MaxwellPhase(**numbers))
         return rz.SystemModel.two_phase(built[0], built[1], a0)
     raise ScenarioError("model.kind", f"unknown kind {kind!r}")
 
@@ -182,8 +196,8 @@ def build_design(scenario: dict, model: rz.SystemModel,
 
 def build_measure(scenario: dict) -> mz.DiscreteMeasure:
     spec = _require(scenario, "measure", "")
-    atoms = _require(spec, "atoms", "measure")
-    weights = _require(spec, "weights", "measure")
+    atoms = _reals(_require(spec, "atoms", "measure"), "measure.atoms")
+    weights = _reals(_require(spec, "weights", "measure"), "measure.weights")
     with _field("measure"):
         return mz.DiscreteMeasure(atoms=tuple(atoms), weights=tuple(weights))
 
@@ -191,10 +205,10 @@ def build_measure(scenario: dict) -> mz.DiscreteMeasure:
 def build_grid(scenario: dict) -> rz.TimeGrid:
     spec = _require(scenario, "grid", "")
     steps = _integer(_require(spec, "steps", "grid"), "grid.steps", 2)
+    t_start, t_end = (_real(_require(spec, k, "grid"), f"grid.{k}") for k in ("t_start", "t_end"))
+    t0 = _real(spec.get("t0", 0.0), "grid.t0")
     with _field("grid"):
-        return rz.TimeGrid(
-            t_start=spec["t_start"], t_end=spec["t_end"],
-            steps=steps, t0=spec.get("t0", 0.0))
+        return rz.TimeGrid(t_start=t_start, t_end=t_end, steps=steps, t0=t0)
 
 
 def _moment_cases(scenario: dict):
@@ -215,21 +229,16 @@ def _moment_cases(scenario: dict):
             raise ScenarioError(f"{path}.label", "use only letters, digits, '_', '-' and '.'")
         if any(c["label"] == label for c in parsed):  # one output file per label
             raise ScenarioError(f"{path}.label", f"repeats the label {label!r}")
-        theta = case.get("theta", 0.0)
-        if isinstance(theta, bool) or not isinstance(theta, (int, float)) or not np.isfinite(theta):
-            raise ScenarioError(f"{path}.theta", "must be a finite number")
+        theta = _real(case.get("theta", 0.0), f"{path}.theta")
         a0_known = case.get("a0_known", True)
         if not isinstance(a0_known, bool):
             raise ScenarioError(f"{path}.a0_known", "must be true or false")
-        known = case.get("known", [])
-        if not isinstance(known, list):
-            raise ScenarioError(f"{path}.known", "must be a list of moments")
+        known = _reals(case.get("known", []), f"{path}.known")
         for k in range(len(known)):
             # the first prefix the library rejects names the offending moment
             with _field(f"{path}.known[{k}]"):
                 rz._check_moment_feasibility(known[:k + 1])
-        parsed.append({"label": label, "known": [float(v) for v in known],
-                       "a0_known": a0_known, "theta": float(theta)})
+        parsed.append({"label": label, "known": known, "a0_known": a0_known, "theta": theta})
     return parsed
 
 
@@ -246,21 +255,15 @@ def _atomic_write(path: Path, data: str):
         raise
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+def write_csv(path: Path, header, columns):
+    buf = io.StringIO()
+    np.savetxt(buf, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
+    _atomic_write(path, buf.getvalue())
 
 
-def write_csv(path: Path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def write_json(path: Path, obj) -> str:
-    data = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    _atomic_write(path, data)
-    return data
+def write_json(path: Path, obj):
+    _atomic_write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def design_report(design: dz.SignalDesign) -> dict:
@@ -371,7 +374,7 @@ def cmd_simulate(scenario: dict, out_dir: Path, seed: int, grid_size) -> Path:
         header += ["re_v0", "im_v0"]
         columns += [v0.real, v0.imag]
     path = out_dir / "simulate.csv"
-    write_csv(path, header, zip(*columns))
+    write_csv(path, header, columns)
     return path
 
 
@@ -387,7 +390,7 @@ def cmd_bounds(scenario: dict, out_dir: Path, seed: int, grid_size):
             lower, upper = (np.minimum(0.0, lower / model.a0),
                             np.maximum(0.0, upper / model.a0))
         path = out_dir / f"bounds_{case['label']}.csv"
-        write_csv(path, ["t", "lower", "upper"], zip(grid.times, lower, upper))
+        write_csv(path, ["t", "lower", "upper"], (grid.times, lower, upper))
         paths.append(path)
     return paths
 
@@ -395,10 +398,10 @@ def cmd_bounds(scenario: dict, out_dir: Path, seed: int, grid_size):
 def cmd_region(scenario: dict, out_dir: Path, seed: int, grid_size) -> Path:
     spec = _require(scenario, "region", "")
     z0 = _as_complex(_require(spec, "z0", "region"), "region.z0")
-    r = spec.get("r", 1.0)
+    r = _real(spec.get("r", 1.0), "region.r")
     n = _integer(spec.get("samples", 256), "region.samples", 2)
     with _field("region"):
-        region = RegionSpec(z0=z0, r=float(r))
+        region = RegionSpec(z0=z0, r=r)
     half_width = 3.0 + abs(z0)
     axis = np.linspace(-half_width, half_width, n)
     inside = in_region_H(axis[:, None] + 1j * axis[None, :], region)
@@ -408,7 +411,7 @@ def cmd_region(scenario: dict, out_dir: Path, seed: int, grid_size) -> Path:
     interior = padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:]
     i, j = np.nonzero(inside & ~interior)
     path = out_dir / "region.csv"
-    write_csv(path, ["x", "y"], zip(axis[i], axis[j]))
+    write_csv(path, ["x", "y"], (axis[i], axis[j]))
     return path
 
 

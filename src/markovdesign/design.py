@@ -73,7 +73,9 @@ class PoleSet:
         m = pts.size
         if not 1 <= m <= MAX_POLES:
             raise DesignError(f"need between 1 and {MAX_POLES} poles, got {m}")
-        dists = np.array([segment_distance(z) for z in pts])
+        if not np.all(np.isfinite(pts)):
+            raise DesignError(f"poles must be finite, got {pts[~np.isfinite(pts)][0]}")
+        dists = segment_distance(pts)
         if np.any(dists <= ON_SEGMENT_TOL):
             bad = int(np.argmin(dists))
             raise DesignError(f"pole {pts[bad]} lies on [-1,1]")
@@ -269,6 +271,8 @@ def design_moments(poles: PoleSet, n: int) -> SignalDesign:
 
 def _validate_target_point(poles: PoleSet, z0: complex) -> complex:
     z0 = complex(z0)
+    if not np.isfinite(z0):
+        raise DesignError(f"target point z0 = {z0} must be finite")
     if segment_distance(z0) <= ON_SEGMENT_TOL:
         raise DesignError("target point z0 must lie off [-1,1]")
     if np.min(np.abs(poles.array - z0)) <= 1e-10 * max(1.0, abs(z0)):
@@ -366,19 +370,17 @@ def design_with_zero_factor(poles: PoleSet, s: ComplexPolynomial) -> SignalDesig
     )
 
 
-def stieltjes_coefficients(design: SignalDesign, z0: complex) -> np.ndarray:
+def stieltjes_coefficients(design: SignalDesign) -> np.ndarray:
     """Coefficients xi_k for the Stieltjes-normalized form of target designs.
 
-    xi_k = alpha_k (1 - z0)/(1 - z_k); in derivative mode the extra
-    coefficient xi_0 = alpha0 - 1/(1 - z0) is prepended.
+    xi_k = alpha_k (1 - z0)/(1 - z_k), z0 the design's target point; PoleSet
+    keeps every z_k off [-1,1], so 1 - z_k never vanishes.  In derivative mode
+    the extra coefficient xi_0 = alpha0 - 1/(1 - z0) is prepended.
     """
     if design.mode not in (MODE_FREQUENCY_TARGET, MODE_DERIVATIVE_TARGET):
         raise DesignError("stieltjes coefficients require a target-mode design")
-    z0 = complex(z0)
-    pts = design.poles.array
-    if np.min(np.abs(pts - 1.0)) <= 1e-12:
-        raise DesignError("a pole coincides with 1: transform undefined")
-    xi = design.alphas * (1.0 - z0) / (1.0 - pts)
+    z0 = design.z0
+    xi = design.alphas * (1.0 - z0) / (1.0 - design.poles.array)
     if design.mode == MODE_DERIVATIVE_TARGET:
         xi = np.concatenate([[design.alpha0 - 1.0 / (1.0 - z0)], xi])
     return xi

@@ -15,17 +15,12 @@ class DegeneratePointError(ValueError):
     """Point lies on (or numerically on) the segment [-1,1]."""
 
 
-def segment_distance(z) -> float:
-    """min over lambda in [-1,1] of |lambda - z|.
-
-    Equals |Im z| when Re z is inside [-1,1], otherwise the distance to the
-    nearer endpoint.
-    """
-    z = complex(z)
-    x = z.real
-    if -1.0 <= x <= 1.0:
-        return abs(z.imag)
-    return abs(z - (1.0 if x > 1.0 else -1.0))
+def segment_distance(z):
+    """|z - clip(Re z, -1, 1)|, the distance from z to [-1,1]; elementwise over
+    arrays, a float for a scalar (hypot rounds as Python's complex abs does)."""
+    z = np.asarray(z, dtype=complex)
+    d = np.hypot(z.real - np.clip(z.real, -1.0, 1.0), z.imag)
+    return float(d) if d.ndim == 0 else d
 
 
 def joukowski_radius(z0) -> float:

@@ -41,14 +41,10 @@ class DiscreteMeasure:
             raise MeasureError(f"weights sum to {weights.sum()}, not 1")
         if not np.all(np.abs(atoms) <= 1.0):
             raise MeasureError("atoms must lie in [-1,1]")
-        # canonical form: strictly increasing atoms, duplicates merged
-        order = np.argsort(atoms)
-        atoms, weights = atoms[order], weights[order]
+        # canonical form: strictly increasing atoms (np.unique sorts), duplicates merged
         uniq, inverse = np.unique(atoms, return_inverse=True)
-        merged = np.zeros_like(uniq)
-        np.add.at(merged, inverse, weights)
         object.__setattr__(self, "atoms", tuple(uniq.tolist()))
-        object.__setattr__(self, "weights", tuple(merged.tolist()))
+        object.__setattr__(self, "weights", tuple(np.bincount(inverse, weights).tolist()))
 
     @property
     def atom_array(self) -> np.ndarray:
@@ -70,12 +66,13 @@ class DiscreteMeasure:
         return cls(atoms=(lam,), weights=(1.0,))
 
 
-def markov_eval(mu: DiscreteMeasure, z) -> complex:
-    """F_mu(z) = sum_j w_j / (lambda_j - z) for z off [-1,1]."""
-    z = complex(z)
-    if segment_distance(z) <= ON_SEGMENT_TOL:
+def markov_eval(mu: DiscreteMeasure, z):
+    """F_mu(z) = sum_j w_j/(lambda_j - z) for z off [-1,1], elementwise; a complex for a scalar."""
+    z = np.asarray(z, dtype=complex)
+    if np.any(segment_distance(z) <= ON_SEGMENT_TOL):
         raise MeasureError(f"z = {z} lies on the support interval")
-    return complex(np.sum(mu.weight_array / (mu.atom_array - z)))
+    f = (mu.weight_array / (mu.atom_array - z[..., None])).sum(axis=-1)
+    return complex(f) if f.ndim == 0 else f
 
 
 def moments(mu: DiscreteMeasure, n: int) -> np.ndarray:
@@ -95,31 +92,26 @@ def random_measure_with_moments(m1: float, atom_count: int, seed: int,
                                 atoms=None) -> DiscreteMeasure:
     """Deterministic pseudo-random measure with first moment m1.
 
-    Samples atoms (unless given), then projects a random positive weight
-    vector onto the affine set {sum w = 1, sum w*lambda = m1}; resamples on
-    negativity, at most 100 times.
+    Positive weights w0 with mean mu0 on the atoms (unless given: one below m1,
+    one above, the rest uniform on [-1,1]) are mixed with the point mass at the
+    outermost atom lambda_far beyond m1 in the share t = (mu0 - m1)/(mu0 - lambda_far) < 1.
     """
     if not -1.0 < m1 < 1.0:
         raise MeasureError(f"first moment {m1} must lie strictly inside (-1,1)")
     if atom_count < 2:
         raise MeasureError("need at least 2 atoms")
     rng = np.random.default_rng(seed)
-    fixed = None if atoms is None else np.asarray(atoms, dtype=float)
-    for _ in range(100):
-        lam = rng.uniform(-1.0, 1.0, size=atom_count) if fixed is None else fixed
-        if lam.min() >= m1 or lam.max() <= m1:
-            if fixed is not None:
-                raise MeasureError("prescribed atoms cannot reach the moment")
-            continue
-        w0 = rng.uniform(0.1, 1.0, size=atom_count)
-        w0 /= w0.sum()
-        a = np.vstack([np.ones(atom_count), lam])
-        b = np.array([1.0, m1])
-        w = w0 + a.T @ np.linalg.solve(a @ a.T, b - a @ w0)
-        if np.all(w >= 0):
-            w /= w.sum()
-            # re-touch the first moment after the mass renormalization
-            w = w + a.T @ np.linalg.solve(a @ a.T, b - a @ w)
-            if np.all(w >= 0):
-                return DiscreteMeasure(atoms=tuple(lam), weights=tuple(w))
-    raise MeasureError(f"could not realize M1 = {m1} after 100 attempts")
+    if atoms is None:
+        lam = np.concatenate([rng.uniform(-1.0, m1, 1), rng.uniform(m1, 1.0, 1),
+                              rng.uniform(-1.0, 1.0, atom_count - 2)])
+    else:
+        lam = np.asarray(atoms, dtype=float)
+        if not lam.min() < m1 < lam.max():
+            raise MeasureError("prescribed atoms cannot reach the moment")
+    w0 = rng.dirichlet(np.ones(lam.size))
+    mu0 = w0 @ lam
+    far = np.argmin(lam) if mu0 > m1 else np.argmax(lam)
+    t = (mu0 - m1) / (mu0 - lam[far])
+    w = (1.0 - t) * w0
+    w[far] += t
+    return DiscreteMeasure(atoms=tuple(lam), weights=tuple(w))

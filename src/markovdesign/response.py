@@ -159,7 +159,7 @@ def simulate_response(design: SignalDesign, model: SystemModel,
                       grid: TimeGrid) -> np.ndarray:
     """v(t) = a0 sum_k alpha_k F_mu(z_k) exp(-i omega_k (t - t0)), z_k the design's poles."""
     omegas = _design_omegas(design, omegas)
-    fvals = np.array([markov_eval(mu, z) for z in design.poles.points])
+    fvals = markov_eval(mu, design.poles.array)
     return model.a0 * (design.alphas * fvals) @ _phases(omegas, grid.times, grid.t0)
 
 
@@ -180,7 +180,7 @@ def crest_ratio(design: SignalDesign, omegas: Sequence[complex], grid: TimeGrid,
     designs).
     """
     omegas = _design_omegas(design, omegas)
-    weights = design.alphas * np.array([markov_eval(reference_mu, z) for z in design.poles.points])
+    weights = design.alphas * markov_eval(reference_mu, design.poles.array)
     times = grid.times
     # TimeGrid keeps t_start <= t0, so some grid time is at or before t0
     series = weights @ _phases(omegas, times[times <= grid.t0], grid.t0)

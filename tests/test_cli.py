@@ -81,6 +81,16 @@ BAD_VALUES = [
     ("region", "region", dict(REGION, r=[1]), "region"),
     ("region", "region", dict(REGION, samples="abc"), "region.samples"),
     ("region", "region", dict(REGION, samples=-1), "region.samples"),
+    # JSON true and numeric strings are not numbers
+    ("design", "model", {"kind": "lossy_dielectric", "a0": True}, "model.a0"),
+    ("design", "model", {"kind": "two_phase", "phases": [{"G": True}, {"G": 6000, "eta": 20000}]},
+     "model.phases[0].G"),
+    ("design", "frequencies", [[True, 1.0], [0.5, 0.3]], "frequencies[0]"),
+    ("simulate", "measure", {"atoms": ["-0.5", "0.5"], "weights": [0.5, 0.5]}, "measure.atoms[0]"),
+    ("simulate", "measure", {"atoms": [-0.5, 0.5], "weights": [True, 0]}, "measure.weights[0]"),
+    ("simulate", "grid", dict(BASE["grid"], t0=True), "grid.t0"),
+    ("bounds", "moments_cases", [{"label": "x", "known": [True]}], "moments_cases[0].known[0]"),
+    ("region", "region", dict(REGION, r="0.5"), "region.r"),
     ("bounds", "moments_cases", 5, "moments_cases"),
     ("bounds", "moments_cases", [5], "moments_cases[0]"),
     ("bounds", "moments_cases", [{"label": "x", "theta": "abc"}], "moments_cases[0].theta"),
@@ -372,6 +382,21 @@ class TestSimulateCommand:
         assert run("simulate", path, tmp_path) == 0
         header = (tmp_path / "simulate.csv").read_text().splitlines()[0]
         assert header == "t,re_u,im_u,re_v,im_v,re_v0,im_v0"
+
+
+class TestWriteCsv:
+    def test_seventeen_significant_digits(self, tmp_path):
+        rng = np.random.default_rng(3)
+        table = rng.standard_normal((101, 7)) * 10.0 ** rng.integers(-300, 301, (101, 7))
+        table[:6, 0] = [0.0, -0.0, 5e-324, -2.2250738585072014e-309, np.inf, np.nan]
+        cli.write_csv(tmp_path / "t.csv", list("abcdefg"), list(table.T))
+        want = "a,b,c,d,e,f,g\n" + "".join(
+            ",".join(f"{v:.17g}" for v in row) + "\n" for row in table)
+        assert (tmp_path / "t.csv").read_text() == want
+
+    def test_empty_table_writes_header_only(self, tmp_path):
+        cli.write_csv(tmp_path / "e.csv", ["x", "y"], (np.array([]), np.array([])))
+        assert (tmp_path / "e.csv").read_text() == "x,y\n"
 
 
 class TestBoundsCommand:

@@ -68,6 +68,15 @@ class TestPoleSet:
         with pytest.raises(DesignError):
             PoleSet(points=(z, z + 1e-12))
 
+    @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(2.0, float("inf")),
+                                     complex(float("nan"), 1.0)])
+    def test_non_finite_pole_rejected(self, bad):
+        # at the parent NaN gave d_min NaN and an infinite pole read as a duplicate
+        with pytest.raises(DesignError, match="finite"):
+            PoleSet(points=(bad,))
+        with pytest.raises(DesignError, match="finite"):
+            PoleSet(points=(2.0 + 1j, bad))
+
     def test_too_many_poles_rejected(self):
         pts = 2.0 + 0.6 * np.exp(2j * np.pi * np.arange(49) / 49)
         with pytest.raises(DesignError):
@@ -208,6 +217,13 @@ class TestFrequencyTarget:
         with pytest.raises(DesignError):
             design_frequency_target(PoleSet(points=self.POLES), 0.5)
 
+    @pytest.mark.parametrize("z0", [complex("nan"), complex("inf"), complex(0.3, float("-inf"))])
+    def test_non_finite_z0_rejected(self, z0):
+        with pytest.raises(DesignError, match="finite"):
+            design_frequency_target(PoleSet(points=self.POLES), z0)
+        with pytest.raises(DesignError, match="finite"):
+            design_derivative_target(PoleSet(points=self.POLES), z0)
+
     def test_region_diagnostics_all_inside(self):
         design = design_frequency_target(PoleSet(points=self.POLES), self.Z0)
         assert design.region_diagnostics is not None
@@ -309,21 +325,21 @@ class TestStieltjesCoefficients:
     def test_frequency_target_transform(self):
         design = design_frequency_target(
             PoleSet(points=TestFrequencyTarget.POLES), TestFrequencyTarget.Z0)
-        xi = stieltjes_coefficients(design, design.z0)
+        xi = stieltjes_coefficients(design)
         want = design.alphas * (1.0 - design.z0) / (1.0 - design.poles.array)
         assert np.allclose(xi, want)
 
     def test_derivative_target_prepends_offset(self):
         design = design_derivative_target(
             PoleSet(points=TestDerivativeTarget.POLES), TestDerivativeTarget.Z0)
-        xi = stieltjes_coefficients(design, design.z0)
+        xi = stieltjes_coefficients(design)
         assert xi.size == design.poles.m + 1
         assert xi[0] == pytest.approx(design.alpha0 - 1.0 / (1.0 - design.z0))
 
     def test_unit_mode_rejected(self):
         design = design_unit(PoleSet(points=DIELECTRIC_POLES))
         with pytest.raises(DesignError):
-            stieltjes_coefficients(design, 2.0 + 1j)
+            stieltjes_coefficients(design)
 
 
 # the five modes on a pole set: moments with n = 2, targets at z0 = 2 + 1.4i

@@ -15,6 +15,14 @@ from markovdesign.geometry import (
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
 
+def branchy_distance(z: complex) -> float:
+    """Per-point reference: |Im z| above the segment, else the distance to the
+    nearer endpoint."""
+    if -1.0 <= z.real <= 1.0:
+        return abs(z.imag)
+    return abs(z - (1.0 if z.real > 1.0 else -1.0))
+
+
 class TestSegmentDistance:
     def test_above_interior(self):
         assert segment_distance(0.5 + 1j) == pytest.approx(1.0)
@@ -24,6 +32,7 @@ class TestSegmentDistance:
 
     def test_corner_case(self):
         assert segment_distance(2.0 + 1j) == pytest.approx(np.sqrt(2.0))
+        assert type(segment_distance(2.0 + 1j)) is float
 
     def test_left_of_endpoint(self):
         assert segment_distance(-3.0 - 4j) == pytest.approx(np.sqrt(20.0))
@@ -39,6 +48,16 @@ class TestSegmentDistance:
         brute = np.min(np.abs(lam - z))
         assert segment_distance(z) <= brute + 1e-12
         assert segment_distance(z) >= brute - 1e-4
+
+    @given(points=st.lists(st.tuples(finite, finite), min_size=1, max_size=24))
+    @settings(max_examples=200)
+    def test_array_call_matches_per_point_formula(self, points):
+        # Re z inside and outside [-1,1], on the real axis and at the endpoints
+        z = np.array([complex(x, y) for x, y in points] + [1.0, -1.0, 2.5, -3.0, 0.3 + 0.7j])
+        want = np.array([branchy_distance(complex(v)) for v in z])
+        assert np.array_equal(segment_distance(z), want)
+        assert np.array_equal(segment_distance(z.reshape(1, -1)), want.reshape(1, -1))
+        assert [segment_distance(v) for v in z] == want.tolist()
 
     @given(x=finite, y=finite)
     @settings(max_examples=200)

@@ -86,6 +86,23 @@ class TestMarkovEval:
         mu = DiscreteMeasure.point_mass(0.0)
         with pytest.raises(MeasureError):
             markov_eval(mu, 0.5)
+        with pytest.raises(MeasureError):
+            markov_eval(mu, np.array([2.0 + 1j, 0.5]))
+
+    @given(atoms=atom_lists, data=st.data())
+    @settings(max_examples=100)
+    def test_array_call_matches_per_point(self, atoms, data):
+        raw = data.draw(st.lists(st.floats(min_value=0.01, max_value=1.0),
+                                 min_size=len(atoms), max_size=len(atoms)))
+        mu = normalized_measure(atoms, raw)
+        points = data.draw(st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(0.05, 3.0),
+                                              st.booleans()), min_size=1, max_size=12))
+        # Re z inside and outside [-1,1], plus real points beyond the endpoints
+        z = np.array([complex(x, y if up else -y) for x, y, up in points] + [2.0, -3.5])
+        want = np.array([complex(np.sum(mu.weight_array / (mu.atom_array - v))) for v in z])
+        assert np.array_equal(markov_eval(mu, z), want)
+        assert [markov_eval(mu, v) for v in z] == want.tolist()
+        assert type(markov_eval(mu, z[0])) is complex
 
     def test_herglotz_sign(self):
         # Im F and Im z share a sign for positive measures
@@ -159,6 +176,30 @@ class TestRandomMeasureWithMoments:
         mu = random_measure_with_moments(0.1, 3, 7, atoms=(-0.8, 0.0, 0.9))
         assert mu.atoms == (-0.8, 0.0, 0.9)
         assert moments(mu, 1)[1] == pytest.approx(0.1, abs=1e-10)
+
+    @given(m1=st.floats(-0.99, 0.99), atom_count=st.integers(2, 8),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    @settings(max_examples=300)
+    def test_every_first_moment_reached(self, m1, atom_count, seed, data):
+        atoms = None
+        if data.draw(st.booleans(), label="prescribed"):
+            below = data.draw(st.lists(st.floats(-1.0, m1, exclude_max=True),
+                                       min_size=1, max_size=atom_count - 1))
+            size = atom_count - len(below)
+            above = data.draw(st.lists(st.floats(m1, 1.0, exclude_min=True),
+                                       min_size=size, max_size=size))
+            atoms = tuple(data.draw(st.permutations(below + above)))
+        mu = random_measure_with_moments(m1, atom_count, seed, atoms=atoms)
+        w = mu.weight_array
+        assert np.all(w >= 0)
+        assert abs(w.sum() - 1.0) <= 1e-12
+        assert abs(moments(mu, 1)[1] - m1) <= 1e-12
+
+    @pytest.mark.parametrize("m1", [0.89, 0.85, -0.79])
+    def test_prescribed_atoms_near_their_hull(self, m1):
+        for seed in range(50):
+            mu = random_measure_with_moments(m1, 3, seed, atoms=(-0.8, 0.0, 0.9))
+            assert moments(mu, 1)[1] == pytest.approx(m1, abs=1e-12)
 
     def test_unreachable_moment_rejected(self):
         with pytest.raises(MeasureError):
