@@ -23,6 +23,9 @@ kind of grid, zoomed in around its argmax by repeated finer scans.
 
 Certificates read one fixed 4,096-node grid (``SUP_GRID_SIZE``); a
 ``grid_size`` given to ``verify_sup`` moves ``epsilon_observed``, never ``epsilon``.
+Grid scans run in real arithmetic on a table of squared distances
+|lambda - z_k|**2, in chunks of ``_SCAN_CHUNK`` nodes so that their memory
+does not grow with ``grid_size``.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .polynomial import (
 
 MAX_POLES = 48
 SUP_GRID_SIZE = 4096
+_SCAN_CHUNK = 4096  # grid nodes per table of a sup scan, whatever its grid_size
 # a relative tie, epsilon * (1 + CERT_RTOL): an absolute one hides violations of a tiny epsilon
 CERT_RTOL = 1e-12
 
@@ -113,6 +117,17 @@ class PoleSet:
         return np.prod(diff, axis=1)
 
 
+def _squared_distances(z: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """For poles z_k = x_k + i y_k and real lam of shape (N,), one (2, m, N)
+    block holding the tables dx = x_k - lam and |lam - z_k|**2 = dx**2 + y_k**2
+    (one block, so that one matrix product reads both)."""
+    table = np.empty((2, z.size, lam.size))
+    np.subtract(z.real[:, None], lam, out=table[0])
+    np.multiply(table[0], table[0], out=table[1])
+    table[1] += (z.imag ** 2)[:, None]
+    return table
+
+
 @dataclass
 class SignalDesign:
     """Residues, optional auxiliary coefficients, and error certificates."""
@@ -150,12 +165,32 @@ class SignalDesign:
     def deviation(self, lam):
         """|rational - target| evaluated pointwise on real lam."""
         lam = np.asarray(lam, dtype=float)
-        return np.abs(self.rational_eval(lam) - self.target_eval(lam))
+        return _deviation_kernel(self)(lam.reshape(-1)).reshape(lam.shape)[()]
 
 
-def _lobatto_grid(n: int) -> np.ndarray:
-    """n Chebyshev-Lobatto nodes on [-1,1], ascending, endpoints included."""
-    return np.cos(np.pi * np.arange(n - 1, -1, -1) / (n - 1))
+def _deviation_kernel(design: SignalDesign):
+    """lam -> |R(lam) - target(lam)| for real lam of shape (N,), its
+    coefficients built once: alpha_k/(lam - z_k) = alpha_k (-dx + i y_k)/|lam - z_k|**2,
+    so Re R and Im R are one real matrix product."""
+    z = design.poles.array
+    a, b, y = design.alphas.real, design.alphas.imag, z.imag
+    coef = np.array([[-a, -b * y], [-b, a * y]]).reshape(2, -1)
+
+    def kernel(lam):
+        table = _squared_distances(z, lam)
+        np.reciprocal(table[1], out=table[1])
+        table[0] *= table[1]
+        re, im = coef @ table.reshape(coef.shape[1], -1)
+        target = design.target_eval(lam)
+        return np.hypot(re - target.real, im - target.imag)
+
+    return kernel
+
+
+def _lobatto_grid(n: int, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+    """Nodes start..stop-1 of the n Chebyshev-Lobatto nodes on [-1,1], ascending."""
+    k = np.arange(start, n if stop is None else min(stop, n))
+    return np.cos(np.pi * (n - 1 - k) / (n - 1))
 
 
 def sup_deviation(design: SignalDesign, grid_size: int = SUP_GRID_SIZE):
@@ -168,19 +203,30 @@ def sup_deviation(design: SignalDesign, grid_size: int = SUP_GRID_SIZE):
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
-    grid = _lobatto_grid(grid_size)
-    vals = design.deviation(grid)
-    i = int(np.argmax(vals))
-    best_x, best_v = float(grid[i]), float(vals[i])
-    while True:
-        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-        if hi - lo < 1e-13:
-            return best_x, best_v
+
+    def nodes(start, stop):
+        if grid_size == SUP_GRID_SIZE:
+            return _CERTIFICATE_GRID[start:stop]
+        return _lobatto_grid(grid_size, start, stop)
+
+    deviation = _deviation_kernel(design)
+    # the first argmax of the whole grid: the first one in the first chunk
+    # that holds the largest chunk maximum
+    firsts = []
+    for start in range(0, grid_size, _SCAN_CHUNK):
+        vals = deviation(nodes(start, start + _SCAN_CHUNK))
+        firsts.append((start + int(np.argmax(vals)), vals.max()))
+    i, best_v = firsts[int(np.argmax([v for _, v in firsts]))]
+    best_x, best_v = float(nodes(i, i + 1)[0]), float(best_v)
+    lo, hi = nodes(max(i - 1, 0), i + 2)[[0, -1]]
+    while hi - lo >= 1e-13:
         grid = np.linspace(lo, hi, 65)
-        vals = design.deviation(grid)
+        vals = deviation(grid)
         i = int(np.argmax(vals))
         if vals[i] > best_v:
             best_x, best_v = float(grid[i]), float(vals[i])
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+    return best_x, best_v
 
 
 def verify_sup(design: SignalDesign, grid_size: int = SUP_GRID_SIZE) -> float:
@@ -204,7 +250,9 @@ def _min_abs_q(poles: PoleSet) -> float:
     log|q| is sum_j 1/d_j-Lipschitz on [-1,1], so in a grid cell of width h,
     |q| stays above the smaller endpoint value times exp(-(h/2) sum_j 1/d_j).
     """
-    vals = np.abs(poles.node(_CERTIFICATE_GRID))
+    # the square root before the product keeps the exponent range of |q|
+    sq = _squared_distances(poles.array, _CERTIFICATE_GRID)[1]
+    vals = np.prod(np.sqrt(sq, out=sq), axis=0)
     pad = np.exp(-0.5 * np.diff(_CERTIFICATE_GRID) * np.sum(1.0 / np.array(poles.distances)))
     return float(np.min(np.minimum(vals[:-1], vals[1:]) * pad))
 

@@ -9,9 +9,9 @@ construction in this package uses small degrees anyway.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
-from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import polynomial as nppoly
 
 DEGREE_CAP = 64
@@ -123,7 +123,9 @@ def monic_cheb(m: int) -> ComplexPolynomial:
     on [-1,1] (norm 1/2**(m-1))."""
     if m < 1:
         raise ValueError("monic normalization by 2**(m-1) requires m >= 1")
-    basis = np.zeros(m + 1)
-    basis[m] = 1.0
-    coeffs = npcheb.cheb2poly(basis) / 2.0 ** (m - 1)
-    return ComplexPolynomial(tuple(coeffs.astype(complex)))
+    # the coefficient of lambda**(m - 2j) in closed form, in exact integer
+    # arithmetic up to one final rounding
+    coeffs = [0.0] * (m + 1)
+    for j in range(m // 2 + 1):
+        coeffs[m - 2 * j] = (-1) ** j * m * comb(m - j, j) / ((m - j) * 4 ** j)
+    return ComplexPolynomial(tuple(coeffs))

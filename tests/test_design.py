@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from markovdesign import design as design_module
 from markovdesign.design import (
     DesignError,
     PoleSet,
@@ -309,6 +312,17 @@ class TestGridCertificates:
         fine_min = min(np.abs(poles.node(chunk)).min() for chunk in np.split(fine, 64))
         assert 0.0 < _min_abs_q(poles) <= fine_min
 
+    @pytest.mark.parametrize("poles", [PoleSet(points=DIELECTRIC_POLES),
+                                       PoleSet(points=TestFrequencyTarget.POLES),
+                                       ellipse_poles(3), ellipse_poles(24), ellipse_poles(48)])
+    def test_min_abs_q_matches_complex_node_product(self, poles):
+        # the same padding applied to |q| from the complex product over the poles
+        grid = _lobatto_grid(4096)
+        vals = np.abs(poles.node(grid))
+        pad = np.exp(-0.5 * np.diff(grid) * np.sum(1.0 / np.array(poles.distances)))
+        want = np.min(np.minimum(vals[:-1], vals[1:]) * pad)
+        assert _min_abs_q(poles) == pytest.approx(want, rel=1e-14)
+
     @pytest.mark.parametrize("build", [
         lambda poles: design_frequency_target(poles, 2.0 + 1.0 / 0.7),
         lambda poles: design_derivative_target(poles, 2.0 + 1.0 / 0.7),
@@ -388,3 +402,63 @@ class TestVerifySup:
         design.epsilon_observed = float("nan")
         value = verify_sup(design)
         assert design.epsilon_observed == value
+
+    def test_default_grid_is_not_rebuilt(self, monkeypatch):
+        design = design_unit(PoleSet(points=DIELECTRIC_POLES))
+        want = sup_deviation(design)
+        monkeypatch.setattr(design_module, "_lobatto_grid", None)
+        assert sup_deviation(design) == want
+
+    @pytest.mark.parametrize("mode", sorted(ALL_MODES))
+    def test_chunked_scan_matches_one_scan(self, mode, monkeypatch):
+        # BLAS may sum a column in another order when the width of the
+        # product changes; widths that are multiples of 1,024 keep one order,
+        # so the two scans agree bit for bit
+        design = ALL_MODES[mode](PoleSet(points=DIELECTRIC_POLES))
+        monkeypatch.setattr(design_module, "_SCAN_CHUNK", 1024)
+        chunked = sup_deviation(design, 5 * 1024)
+        monkeypatch.setattr(design_module, "_SCAN_CHUNK", 5 * 1024)
+        assert sup_deviation(design, 5 * 1024) == chunked
+
+    def test_large_grid_scan_in_bounded_memory(self, monkeypatch):
+        design = design_unit(ellipse_poles(48))
+        tracemalloc.start()
+        try:
+            verify_sup(design, 2 ** 18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an unchunked scan holds a (2, 48, 2**18) table: 201 MB
+        assert peak < 8 * 2 ** 20
+        chunked = (design.lambda_star, design.epsilon_observed)
+        monkeypatch.setattr(design_module, "_SCAN_CHUNK", 2 ** 18)
+        verify_sup(design, 2 ** 18)
+        assert (design.lambda_star, design.epsilon_observed) == chunked
+
+
+class TestRealKernel:
+    """deviation sums alpha_k/(lambda - z_k) in real arithmetic; it agrees
+    with the complex rational_eval up to float64 rounding."""
+
+    @staticmethod
+    def rounding(design, lam):
+        # 2(m + 4) u sum_k |alpha_k|/|lambda - z_k|, u = 2**-53
+        dist = np.abs(np.asarray(lam, dtype=float)[..., None] - design.poles.array)
+        return (2 * (design.poles.m + 4) * 2.0 ** -53
+                * np.sum(np.abs(design.alphas) / dist, axis=-1))
+
+    @pytest.mark.parametrize("mode", sorted(ALL_MODES))
+    @pytest.mark.parametrize("m", [3, 12, 48])
+    def test_matches_complex_evaluation(self, mode, m):
+        design = ALL_MODES[mode](ellipse_poles(m))
+        lam = np.concatenate([_lobatto_grid(4096),
+                              np.random.default_rng(m).uniform(-1.0, 1.0, 256)])
+        want = np.abs(design.rational_eval(lam) - design.target_eval(lam))
+        got = design.deviation(lam)
+        assert np.all(np.abs(got - want) <= self.rounding(design, lam))
+        assert np.array_equal(design.deviation(lam.reshape(16, -1)), got.reshape(16, -1))
+        for point in (0.3, -1.0, np.float64(-0.7), np.array(0.3), np.array(1.0)):
+            value = design.deviation(point)
+            assert isinstance(value, float)
+            want = abs(design.rational_eval(point) - design.target_eval(point))
+            assert abs(value - want) <= self.rounding(design, point)

@@ -150,6 +150,13 @@ class TestMonicCheb:
         with pytest.raises(ValueError):
             monic_cheb(0)
 
+    def test_closed_form_matches_cheb2poly_bit_for_bit(self):
+        for m in range(1, 65):
+            basis = np.zeros(m + 1)
+            basis[m] = 1.0
+            want = (cheb2poly(basis) / 2.0 ** (m - 1)).astype(complex)
+            assert np.array_equal(monic_cheb(m).array.view(np.int64), want.view(np.int64)), m
+
     def test_degree_cap(self):
         with pytest.raises(DegreeLimitError):
             monic_cheb(65)
