@@ -3,9 +3,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from markovdesign import cli, response
-from markovdesign.design import PoleSet, design_moments, design_unit
+from markovdesign.design import DesignError, PoleSet, design_moments, design_unit
 from markovdesign.geometry import segment_distance
 from markovdesign.measure import DiscreteMeasure, markov_eval, random_measure_with_moments
 from markovdesign.response import (
@@ -433,6 +435,49 @@ class TestResponseBounds:
         coarse = TimeGrid(t_start=grid.t_start, t_end=grid.t_end, steps=7, t0=grid.t0)
         assert_one_moment_bounds_exact(model, design, omegas, m1, theta, coarse)
 
+    @pytest.mark.parametrize("theta", [0.0, 1.0])
+    @pytest.mark.parametrize("name", ["fig3_visco", "fig4_dielectric", "fig5_plasma",
+                                      "fig6_freq_target"])
+    def test_no_moment_bounds_are_the_grid_extremes(self, name, theta):
+        # with no known moment the best measure is a point mass on the grid
+        model, omegas, design, grid = scenario_setup(name)
+        lower, upper = response_bounds(design, model, omegas, [], theta, grid)
+        g, magnitude, curvature = integrand(design, omegas, theta, grid.times, grid.t0)
+        pad = 2.0 * curvature * (ATOMS[1] - ATOMS[0]) ** 2 / 8.0
+        tol = 1e-12 * model.a0 * magnitude
+        assert np.all(np.abs(lower - model.a0 * (g.min(axis=1) - pad)) <= tol)
+        assert np.all(np.abs(upper - model.a0 * (g.max(axis=1) + pad)) <= tol)
+
+    @pytest.mark.parametrize("m1", [-0.9, 0.0, 0.4, 0.97])
+    @pytest.mark.parametrize("theta", [0.0, 1.0, 2.5])
+    def test_one_pass_is_exact_on_convex_and_concave_rows(self, monkeypatch, theta, m1):
+        # one real pole z = -1.125 (the plasma map at omega = 0.8): each g_t is
+        # Re c(t) / (lambda + 1.125), convex or concave, so Jensen's pair or
+        # the two ends is its optimum and the starting basis needs no pivot
+        model = SystemModel.plasma(0.6)
+        omegas = [0.8]
+        design = design_unit(PoleSet(points=(model_z(model, omegas[0]),)))
+        monkeypatch.setattr(response, "_EXCHANGE_PASSES", 1)
+        assert_one_moment_bounds_exact(model, design, omegas, m1, theta, self.GRID)
+
+    @pytest.mark.filterwarnings("ignore:d_min")  # the certificate, not the bounds
+    @settings(max_examples=40, deadline=None)
+    @given(poles=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-2.0, 2.0),
+                                     st.floats(0.1, 3.0)), min_size=1, max_size=6),
+           theta=st.floats(0.0, 2.0 * np.pi),
+           m1=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_one_moment_bounds_are_exact_for_random_poles(self, poles, theta, m1):
+        # any start and any pivots: the bounds end on the optimal chord
+        points = [complex(x, y) for x, y, _ in poles]
+        assume(all(segment_distance(z) >= 0.1 for z in points))
+        try:
+            design = design_unit(PoleSet(points=tuple(points)))
+        except DesignError:  # coincident poles
+            assume(False)
+        model = SystemModel.lossy_dielectric(0.6)
+        assert_one_moment_bounds_exact(model, design, [w for _, _, w in poles], m1, theta,
+                                       self.GRID, np.linspace(-1.0, 1.0, 65))
+
     @pytest.mark.parametrize("known", [[0.4, 0.3], [0.0, 0.5], [-0.6, 0.5]])
     @pytest.mark.parametrize("theta", [0.0, 1.0])
     @pytest.mark.parametrize("name", ["fig3_visco", "fig4_dielectric", "fig5_plasma",
@@ -477,9 +522,12 @@ class TestResponseBounds:
 
     @pytest.mark.parametrize("known", [[0.4], [0.4, 0.3]])
     def test_capped_exchange_stays_valid(self, monkeypatch, known):
-        # one pass: the starting basis's certificate, looser but still valid
+        # one pass: the starting basis's certificate, looser but still valid.
+        # On 7 times every one-moment row of fig4 at M1 = 0.4 starts optimal
+        # from Jensen's pair or the two ends; on 11 some row does not
         model, omegas, design, grid = scenario_setup("fig4_dielectric")
-        coarse = TimeGrid(t_start=grid.t_start, t_end=grid.t_end, steps=7, t0=grid.t0)
+        steps = 11 if len(known) == 1 else 7
+        coarse = TimeGrid(t_start=grid.t_start, t_end=grid.t_end, steps=steps, t0=grid.t0)
         atoms = np.linspace(-1.0, 1.0, 65)
         full = response_bounds(design, model, omegas, known, 0.0, coarse, atom_grid_size=65)
         monkeypatch.setattr(response, "_EXCHANGE_PASSES", 1)
