@@ -156,6 +156,8 @@ class SignalDesign:
         """The function the rational combination approximates on [-1,1]:
         the polynomial sum gamma_l lambda**l when gammas are set, otherwise
         k = 1/(lambda - z0), times (k - alpha0) when alpha0 is set."""
+        if self.gammas is not None and self.gammas.size == 1 and not np.iscomplexobj(lam):
+            return np.full(np.shape(lam), self.gammas[0])[()]  # unit and zero-factor targets
         lam = np.asarray(lam, dtype=complex)
         if self.gammas is not None:
             return np.polynomial.polynomial.polyval(lam, self.gammas)

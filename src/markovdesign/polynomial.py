@@ -95,12 +95,19 @@ def cheb_eval_deriv(m: int, z) -> complex:
 
 
 def monic_from_roots(roots) -> ComplexPolynomial:
-    """Monic polynomial prod (lambda - z_j) expanded to monomial coefficients."""
-    roots = list(roots)
-    if not roots:
+    """Monic polynomial prod (lambda - z_j) expanded to monomial coefficients
+    by numpy's polyfromroots product tree, without its series checks."""
+    roots = np.sort(np.asarray(list(roots), dtype=complex))
+    if not roots.size:
         raise ValueError("roots list must be nonempty")
-    coeffs = nppoly.polyfromroots(np.asarray(roots, dtype=complex))
-    return ComplexPolynomial(tuple(coeffs))
+    factors = [np.array([-z, 1.0 + 0j]) for z in roots]
+    while len(factors) > 1:
+        half, odd = divmod(len(factors), 2)
+        paired = [np.convolve(factors[i], factors[i + half]) for i in range(half)]
+        if odd:
+            paired[0] = np.convolve(paired[0], factors[-1])
+        factors = paired
+    return ComplexPolynomial(tuple(factors[0]))
 
 
 def poly_eval(p: ComplexPolynomial, z):

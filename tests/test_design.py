@@ -368,6 +368,26 @@ ALL_MODES = {
 }
 
 
+class TestTargetEval:
+    @pytest.mark.parametrize("mode", sorted(ALL_MODES))
+    @pytest.mark.parametrize("m", [3, 48])
+    def test_real_lambda_matches_complex_evaluation_bit_for_bit(self, mode, m):
+        # on real lambda a one-term target is a constant, with no complex
+        # cast; every target gives the bits, type and shape of polyval on
+        # lambda cast to complex
+        design = ALL_MODES[mode](ellipse_poles(m))
+        grid = np.random.default_rng(m).uniform(-1.0, 1.0, 24)
+        for lam in (0.3, -1.0, np.array(0.3), grid, grid.reshape(4, 6)):
+            cast = np.asarray(lam, dtype=complex)
+            got = design.target_eval(lam)
+            if design.gammas is None:
+                want = design.target_eval(cast)
+            else:
+                want = np.polynomial.polynomial.polyval(cast, design.gammas)
+            assert type(got) is type(want) and got.dtype == want.dtype
+            assert np.shape(got) == np.shape(want) and got.tobytes() == want.tobytes()
+
+
 class TestVerifySup:
     @pytest.mark.parametrize("mode", sorted(ALL_MODES))
     def test_grid_size_refinement_consistency(self, mode):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import cheb2poly
+from numpy.polynomial.polynomial import polyfromroots
 
 from markovdesign.polynomial import (
     ComplexPolynomial,
@@ -84,6 +85,13 @@ class TestMonicFromRoots:
     def test_degree_cap(self):
         with pytest.raises(DegreeLimitError):
             monic_from_roots([0.5] * 65)
+
+    def test_matches_polyfromroots_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        for m in range(1, 65):
+            roots = rng.uniform(-3.0, 3.0, m) + 1j * rng.uniform(-2.0, 2.0, m)
+            want = polyfromroots(roots)
+            assert monic_from_roots(roots).array.tobytes() == want.tobytes()
 
 
 class TestPolyEval:

@@ -127,6 +127,19 @@ def assert_two_moment_bounds_exact(model, design, omegas, known, theta, grid, at
     assert np.all(np.abs(upper - model.a0 * (hi + pad)) <= tol)
 
 
+def assert_warm_start_matches_cold(model, design, omegas, known, theta, grid):
+    # the coarse phase only chooses where the full-grid simplex starts: warm
+    # and cold starts both end on the grid optimum, to rounding
+    warm = response_bounds(design, model, omegas, known, theta, grid)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(response, "_COARSE_STEP", ATOMS.size)  # fewer than 8 cells: no coarse phase
+        cold = response_bounds(design, model, omegas, known, theta, grid)
+    _, magnitude, _ = integrand(design, omegas, theta, grid.times, grid.t0)
+    tol = 1e-12 * model.a0 * magnitude
+    assert np.all(np.abs(warm[0] - cold[0]) <= tol)
+    assert np.all(np.abs(warm[1] - cold[1]) <= tol)
+
+
 class TestMaxwellPhase:
     def test_elastic_modulus_is_real(self):
         assert MaxwellPhase(G=12000).modulus(0.7) == 12000
@@ -490,6 +503,53 @@ class TestResponseBounds:
         assert_two_moment_bounds_exact(model, design, omegas, known, theta, coarse,
                                        np.linspace(-1.0, 1.0, 65))
 
+    @pytest.mark.parametrize("known", [[0.4, 0.3], [0.0, 0.5], [-0.6, 0.5]])
+    @pytest.mark.parametrize("theta", [0.0, 1.0])
+    @pytest.mark.parametrize("name", ["fig3_visco", "fig4_dielectric", "fig5_plasma",
+                                      "fig6_freq_target"])
+    def test_two_moment_warm_start_matches_cold_start(self, monkeypatch, name, theta, known):
+        # on the default 2,049 atoms the simplex first runs on every 8th atom
+        # (257), then on the full grid from the bases it ended on
+        model, omegas, design, grid = scenario_setup(name)
+        sizes, solve = [], response._best_certificate
+        monkeypatch.setattr(response, "_best_certificate",
+                            lambda g, *rest: sizes.append(g.shape[1]) or solve(g, *rest))
+        assert_warm_start_matches_cold(model, design, omegas, known, theta, grid)
+        assert sizes == [257, ATOMS.size, ATOMS.size]
+
+    @pytest.mark.filterwarnings("ignore:d_min")  # the certificate, not the bounds
+    @settings(max_examples=30, deadline=None)
+    @given(poles=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-2.0, 2.0),
+                                     st.floats(0.1, 3.0)), min_size=1, max_size=6),
+           theta=st.floats(0.0, 2.0 * np.pi),
+           m1=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+           spread=st.floats(0.0, 1.0))
+    def test_two_moment_warm_start_matches_cold_start_for_random_poles(self, poles, theta,
+                                                                        m1, spread):
+        points = [complex(x, y) for x, y, _ in poles]
+        assume(all(segment_distance(z) >= 0.1 for z in points))
+        try:
+            design = design_unit(PoleSet(points=tuple(points)))
+        except DesignError:  # coincident poles
+            assume(False)
+        model = SystemModel.lossy_dielectric(0.6)
+        known = [m1, m1 * m1 + spread * (1.0 - m1 * m1)]
+        assert_warm_start_matches_cold(model, design, [w for _, _, w in poles], known, theta,
+                                       self.GRID)
+
+    @pytest.mark.parametrize("known", [[0.4, 0.16], [0.4, 0.17], [0.3, 0.09]])
+    @pytest.mark.parametrize("theta", [0.0, 1.0])
+    def test_two_moment_bounds_are_exact_below_the_coarse_variance(self, theta, known):
+        # on 65 atoms a measure on every 8th atom (0.25 apart) has variance
+        # at least 0.15 * 0.1 about the mean 0.4 and 0.05 * 0.2 about 0.3, so
+        # none has these moments: the simplex starts cold, where a coarse
+        # phase would hand the full grid an infeasible basis and end looser
+        # at M2 = M1^2
+        model, omegas, design, grid = scenario_setup("fig4_dielectric")
+        coarse = TimeGrid(t_start=grid.t_start, t_end=grid.t_end, steps=7, t0=grid.t0)
+        assert_two_moment_bounds_exact(model, design, omegas, known, theta, coarse,
+                                       np.linspace(-1.0, 1.0, 65))
+
     @pytest.mark.parametrize("m1", [-1.0, 0.4, 1.0])
     @pytest.mark.parametrize("size", [2, 3, 5])
     def test_tiny_atom_grids(self, size, m1):
@@ -524,7 +584,10 @@ class TestResponseBounds:
     def test_capped_exchange_stays_valid(self, monkeypatch, known):
         # one pass: the starting basis's certificate, looser but still valid.
         # On 7 times every one-moment row of fig4 at M1 = 0.4 starts optimal
-        # from Jensen's pair or the two ends; on 11 some row does not
+        # from Jensen's pair or the two ends; on 11 some row does not.  The
+        # cap holds each phase of the two-moment simplex: on these 65 atoms
+        # its coarse phase on every 8th atom pivots once too, so the full
+        # grid starts one pivot from the sigma-rounded triple
         model, omegas, design, grid = scenario_setup("fig4_dielectric")
         steps = 11 if len(known) == 1 else 7
         coarse = TimeGrid(t_start=grid.t_start, t_end=grid.t_end, steps=steps, t0=grid.t0)
