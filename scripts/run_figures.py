@@ -6,8 +6,14 @@ input/response time series, and moment-constrained response bounds as CSV.
 Plotting is left to external tools.
 """
 
+import os
 import sys
 from pathlib import Path
+
+# one BLAS thread, set before numpy loads: a threaded product can round its
+# sums in another order, which changed the last digits of the bounds CSVs
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from markovdesign.cli import main
 

@@ -22,7 +22,7 @@ from .measure import DiscreteMeasure, markov_eval
 # Caps the passes of each simplex run in response_bounds.  Every pass gives a
 # valid bound, so the cap costs tightness only.  On the bundled envelopes a
 # one-moment row reaches the optimum in 1.3-1.9 passes on average, a two-moment
-# row in 8.2 coarse ones and then 4.1 on the full grid (11.4 from a cold start).
+# row in 8.2 coarse ones and then 4.1 on the full grid.
 _EXCHANGE_PASSES = 64
 # The spacing, in atoms, of the grid a two-moment simplex solves first
 _COARSE_STEP = 8
@@ -144,6 +144,8 @@ def _design_omegas(design: SignalDesign, omegas: Sequence[complex]) -> np.ndarra
     omegas = np.asarray(omegas, dtype=complex)
     if omegas.size != design.poles.m:
         raise ValueError("need one frequency per design pole")
+    if not np.isfinite(omegas).all():
+        raise ValueError("frequencies must be finite")
     return omegas
 
 
@@ -208,15 +210,13 @@ def _check_moment_feasibility(known_moments: Sequence[float]):
             raise InfeasibleMomentsError(f"M2 = {m2} violates M1^2 <= M2 <= 1")
 
 
-def _starting_basis(lam, m1, var, n, band):
-    """n + 1 atoms, and the signs of their band shifts, whose weights are a
-    measure.  n = 1: Jensen's pair p <= M1 < q, the optimum of a convex row.
-    n = 2: about M1 - sigma, M1 and M1 + sigma, the outer two rounded
-    outward.  var = sigma^2 is clamped to [0, 1 - M1^2] here only."""
-    q = min(max(int(np.searchsorted(lam, m1, side="right")), 1), lam.size - 1)
-    p = q - 1  # p <= M1 < q, or q = M1 = 1
-    if n == 1:
-        return [p, q], [1.0, 1.0]
+def _starting_basis(lam, p, m1, var, band):
+    """Three atoms, and the signs of their band shifts, whose weights are a
+    measure: about M1 - sigma, M1 and M1 + sigma, the outer two rounded
+    outward.  lam[p] <= M1 < lam[p + 1] (or lam[p + 1] = M1 = 1) is Jensen's
+    pair, whose variance is at most band = h^2 / 4, so such atoms exist at
+    every var = sigma^2, which is clamped to [0, 1 - M1^2] here only."""
+    q = p + 1
     up, uq = lam[p] - m1, lam[q] - m1
     v0 = -up * uq  # the variance of the measure on p and q
     var = min(max(var, 0.0), 1.0 - m1 * m1)
@@ -300,12 +300,11 @@ def response_bounds(design: SignalDesign, model: SystemModel,
     g_t - b - s u - c w vanish on it.  With M1 known each row starts from
     the cheaper of Jensen's pair about M1, optimal where the row is convex,
     and the two ends, optimal where it is concave (Edmundson-Madansky).  With
-    M2 too, each row starts from the sigma-rounded triple of _starting_basis.
-    On more than 8 * _COARSE_STEP atoms, with a variance of at least
-    (_COARSE_STEP h / 2)^2 so that some measure on every _COARSE_STEP-th atom
-    has these moments, the simplex first runs on those atoms alone (coarse
-    to fine; Hettich & Kortanek, 1993).  Its values are dropped, but its
-    optimal bases are feasible on the full grid and start the simplex there.
+    M2 too, the simplex first runs on every _COARSE_STEP-th atom, Jensen's
+    pair and the two ends alone (coarse to fine; Hettich & Kortanek, 1993),
+    from the sigma-rounded triple of _starting_basis, a measure on them at
+    any variance.  Its values are dropped, but its optimal bases are
+    feasible on the full grid and start the simplex there.
     Each pivot enters the atom of least reduced cost, Dantzig's ratio test
     picks the one that leaves, and the best certificate is kept.  An unknown
     M2 zeroes the row of w.  The upper bound is minus the lower bound of
@@ -319,6 +318,8 @@ def response_bounds(design: SignalDesign, model: SystemModel,
     _check_moment_feasibility(known_moments)
     if atom_grid_size < 2:
         raise ValueError("atom_grid_size must be at least 2")
+    if not np.isfinite(theta):
+        raise ValueError("theta must be finite")
     n = len(known_moments)
     lam = np.linspace(-1.0, 1.0, atom_grid_size)
     h = lam[1] - lam[0]
@@ -343,16 +344,15 @@ def response_bounds(design: SignalDesign, model: SystemModel,
     var, u = m2 - m1 * m1, lam - m1
     moments = np.stack([np.ones_like(lam), u, (u * u - var) * (n == 2)])
     band = h * h / 4.0 * (n == 2)
-    # from var = (step h / 2)^2 on, some measure on the coarse atoms has these moments
-    warm = n == 2 and lam.size > 8 * _COARSE_STEP and var >= (_COARSE_STEP * h / 2.0) ** 2
-    coarse = np.r_[0:lam.size - 1:_COARSE_STEP, lam.size - 1] if warm else slice(None)
-    start, signs = _starting_basis(lam[coarse], m1, var, n, band)
-    basis, signs = np.tile(start, (2 * steps, 1)), np.tile(signs, (2 * steps, 1))
+    q = min(max(int(np.searchsorted(lam, m1, side="right")), 1), lam.size - 1)
+    pair, ends = [q - 1, q], [0, lam.size - 1]  # Jensen's pair p <= M1 < q, or q = M1 = 1
     if n == 1:  # each row starts from the cheaper of Jensen's pair and the two ends
-        ends = [0, lam.size - 1]
-        cost = [g[:, b] @ np.linalg.solve(moments[:2, b], [1.0, 0.0]) for b in (start, ends)]
-        basis[cost[1] < cost[0]] = ends
-    elif warm:  # the coarse bounds are discarded: only the full grid's hold
+        cost = [g[:, b] @ np.linalg.solve(moments[:2, b], [1.0, 0.0]) for b in (pair, ends)]
+        basis, signs = np.where((cost[1] < cost[0])[:, None], ends, pair), np.ones((2 * steps, 2))
+    else:  # the coarse bounds are discarded: only the full grid's hold
+        coarse = np.union1d(np.r_[0:lam.size:_COARSE_STEP], pair + ends)
+        start, signs = _starting_basis(lam[coarse], np.searchsorted(coarse, q - 1), m1, var, band)
+        basis, signs = np.tile(start, (2 * steps, 1)), np.tile(signs, (2 * steps, 1))
         part = g[:, coarse]
         _best_certificate(part, moments[:, coarse], basis, signs, band, tol, np.empty_like(part))
         basis = coarse[basis]

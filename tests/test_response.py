@@ -132,7 +132,7 @@ def assert_warm_start_matches_cold(model, design, omegas, known, theta, grid):
     # and cold starts both end on the grid optimum, to rounding
     warm = response_bounds(design, model, omegas, known, theta, grid)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(response, "_COARSE_STEP", ATOMS.size)  # fewer than 8 cells: no coarse phase
+        patch.setattr(response, "_COARSE_STEP", 1)  # the coarse phase is the whole grid
         cold = response_bounds(design, model, omegas, known, theta, grid)
     _, magnitude, _ = integrand(design, omegas, theta, grid.times, grid.t0)
     tol = 1e-12 * model.a0 * magnitude
@@ -263,6 +263,21 @@ class TestSynthesisAndSimulation:
         with pytest.raises(ValueError, match="one frequency per design pole"):
             function(design, model, OMEGAS[:size], *args, grid)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+    @pytest.mark.parametrize("call", [
+        lambda design, model, omegas, grid: synthesize_input(design, model, omegas, grid),
+        lambda design, model, omegas, grid: simulate_response(design, model, omegas, MU, grid),
+        lambda design, model, omegas, grid: crest_ratio(design, omegas, grid, MU),
+        lambda design, model, omegas, grid: response_bounds(design, model, omegas, [0.4], 0.0,
+                                                            grid),
+    ], ids=["synthesize_input", "simulate_response", "crest_ratio", "response_bounds"])
+    def test_non_finite_frequency_rejected(self, call, bad):
+        # a NaN frequency gave a NaN response
+        model, design = dielectric_setup()
+        grid = TimeGrid(t_start=-1.0, t_end=1.0, steps=11)
+        with pytest.raises(ValueError, match="frequencies must be finite"):
+            call(design, model, np.r_[OMEGAS[:2], bad], grid)
+
     def test_single_frequency_response_shape(self):
         model = SystemModel.lossy_dielectric()
         grid = TimeGrid(t_start=-1.0, t_end=1.0, steps=11)
@@ -326,6 +341,14 @@ class TestResponseBounds:
         model, design = dielectric_setup()
         with pytest.raises(ValueError, match="atom_grid_size"):
             response_bounds(design, model, OMEGAS, [], 0.0, self.GRID, atom_grid_size=size)
+
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("known", [[], [0.4], [0.4, 0.3]])
+    def test_non_finite_theta_rejected(self, known, theta):
+        # it gave all-NaN envelopes
+        model, design = dielectric_setup()
+        with pytest.raises(ValueError, match="theta must be finite"):
+            response_bounds(design, model, OMEGAS, known, theta, self.GRID)
 
     def test_bounds_are_ordered(self):
         model, design = dielectric_setup()
@@ -503,19 +526,49 @@ class TestResponseBounds:
         assert_two_moment_bounds_exact(model, design, omegas, known, theta, coarse,
                                        np.linspace(-1.0, 1.0, 65))
 
-    @pytest.mark.parametrize("known", [[0.4, 0.3], [0.0, 0.5], [-0.6, 0.5]])
+    @pytest.mark.parametrize("known", [[0.4, 0.3], [0.0, 0.5], [-0.6, 0.5], [0.4, 0.16],
+                                       [0.4, 0.16 + 1e-6], [0.3, 0.09 + 2e-6]])
     @pytest.mark.parametrize("theta", [0.0, 1.0])
     @pytest.mark.parametrize("name", ["fig3_visco", "fig4_dielectric", "fig5_plasma",
                                       "fig6_freq_target"])
     def test_two_moment_warm_start_matches_cold_start(self, monkeypatch, name, theta, known):
         # on the default 2,049 atoms the simplex first runs on every 8th atom
-        # (257), then on the full grid from the bases it ended on
+        # (257) and Jensen's pair, then on the full grid from the bases it
+        # ended on; the cold reference runs on the full grid twice.  Variances
+        # under (4h)^2, down to none, run the coarse phase too
         model, omegas, design, grid = scenario_setup(name)
         sizes, solve = [], response._best_certificate
         monkeypatch.setattr(response, "_best_certificate",
                             lambda g, *rest: sizes.append(g.shape[1]) or solve(g, *rest))
         assert_warm_start_matches_cold(model, design, omegas, known, theta, grid)
-        assert sizes == [257, ATOMS.size, ATOMS.size]
+        assert 257 <= sizes[0] <= 259 and sizes[1:] == [ATOMS.size] * 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(size=st.sampled_from([2, 3, 5, 65, 2049]),
+           m1=st.floats(-1.0, 1.0),
+           scale=st.sampled_from(["zero", "tiny", "below_coarse", "any"]),
+           share=st.floats(0.0, 1.0))
+    def test_starting_basis_is_a_measure_on_the_coarse_atoms(self, size, m1, scale, share):
+        # every 8th atom, Jensen's pair p <= M1 < q and the two ends: the
+        # pair's variance is at most the band h^2 / 4, so the sigma-rounded
+        # triple is a measure at every variance, with no guard
+        lam = np.linspace(-1.0, 1.0, size)
+        h, top = lam[1] - lam[0], 1.0 - m1 * m1
+        var = min(share * {"zero": 0.0, "tiny": 1e-9 * h * h, "below_coarse": (4.0 * h) ** 2,
+                           "any": top}[scale], top)
+        p = min(int(np.flatnonzero(lam <= m1)[-1]), size - 2)
+        coarse = np.union1d(np.r_[0:size:8], [p, p + 1, 0, size - 1])
+        band = h * h / 4.0
+        atoms, signs = response._starting_basis(lam[coarse], int(np.searchsorted(coarse, p)),
+                                                m1, var, band)
+        assert len(atoms) == len(signs) == 3
+        assert all(0 <= a < coarse.size for a in atoms) and set(signs) <= {-1.0, 1.0}
+        u = lam[coarse][atoms] - m1
+        matrix = np.vstack([np.ones(3), u, u * u - var + band * np.array(signs)])
+        weights = np.linalg.solve(matrix, [1.0, 0.0, 0.0])
+        assert weights.min() >= -1e-12
+        assert abs(weights.sum() - 1.0) <= 1e-12 and abs(weights @ u) <= 1e-12
+        assert abs(weights @ (u * u) - var) <= band + 1e-12
 
     @pytest.mark.filterwarnings("ignore:d_min")  # the certificate, not the bounds
     @settings(max_examples=30, deadline=None)
@@ -540,11 +593,11 @@ class TestResponseBounds:
     @pytest.mark.parametrize("known", [[0.4, 0.16], [0.4, 0.17], [0.3, 0.09]])
     @pytest.mark.parametrize("theta", [0.0, 1.0])
     def test_two_moment_bounds_are_exact_below_the_coarse_variance(self, theta, known):
-        # on 65 atoms a measure on every 8th atom (0.25 apart) has variance
-        # at least 0.15 * 0.1 about the mean 0.4 and 0.05 * 0.2 about 0.3, so
-        # none has these moments: the simplex starts cold, where a coarse
-        # phase would hand the full grid an infeasible basis and end looser
-        # at M2 = M1^2
+        # on 65 atoms a measure on every 8th atom (0.25 apart) alone has
+        # variance at least 0.15 * 0.1 about the mean 0.4 and 0.05 * 0.2
+        # about 0.3, so none has these moments; the coarse phase runs on
+        # Jensen's pair too, whose measures do, and hands the full grid a
+        # feasible basis that ends on the optimum even at M2 = M1^2
         model, omegas, design, grid = scenario_setup("fig4_dielectric")
         coarse = TimeGrid(t_start=grid.t_start, t_end=grid.t_end, steps=7, t0=grid.t0)
         assert_two_moment_bounds_exact(model, design, omegas, known, theta, coarse,
