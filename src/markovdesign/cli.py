@@ -149,8 +149,8 @@ def build_model(scenario: dict) -> rz.SystemModel:
 
 def parse_frequencies(scenario: dict) -> np.ndarray:
     freqs = _require(scenario, "frequencies", "")
-    if not isinstance(freqs, list) or not freqs:
-        raise ScenarioError("frequencies", "must be a nonempty list")
+    if not isinstance(freqs, list) or not 1 <= len(freqs) <= dz.MAX_POLES:
+        raise ScenarioError("frequencies", f"must be a list of 1 to {dz.MAX_POLES} frequencies")
     omegas = []
     for i, f in enumerate(freqs):
         w = _as_complex(f, f"frequencies[{i}]")
@@ -173,7 +173,8 @@ def build_design(scenario: dict, model: rz.SystemModel,
     if mode == "unit":
         return dz.design_unit(poles)
     if mode == "moments":
-        return dz.design_moments(poles, _integer(spec.get("n", 1), "design.n", 0))
+        n = _integer(spec.get("n", 1), "design.n", 0, dz.DEGREE_CAP - poles.m)
+        return dz.design_moments(poles, n)
     if mode in ("frequency_target", "derivative_target"):
         if "z0" in spec:
             z0 = _as_complex(spec["z0"], "design.z0")
@@ -188,9 +189,9 @@ def build_design(scenario: dict, model: rz.SystemModel,
         coeffs = _require(spec, "coeffs", "design")
         if not isinstance(coeffs, list) or not coeffs:
             raise ScenarioError("design.coeffs", "must be a nonempty coefficient list")
-        s = ComplexPolynomial(tuple(
-            _as_complex(c, f"design.coeffs[{i}]") for i, c in enumerate(coeffs)))
-        return dz.design_with_zero_factor(poles, s)
+        s = tuple(_as_complex(c, f"design.coeffs[{i}]") for i, c in enumerate(coeffs))
+        with _field("design.coeffs"):  # not monic, or of degree m or more
+            return dz.design_with_zero_factor(poles, ComplexPolynomial(s))
     raise ScenarioError("design.mode", f"unknown mode {mode!r}")
 
 
@@ -314,7 +315,7 @@ def _designed(scenario: dict, grid_size=None):
 
 
 def _require_certified(path: Path, design: dz.SignalDesign, *flags: bool):
-    if not (design.epsilon_observed <= design.epsilon * (1.0 + dz.CERT_RTOL) and all(flags)):
+    if not (design.certifies(design.epsilon_observed) and all(flags)):
         raise CertificateViolation(f"{path}: the certificate epsilon does not hold")
 
 
@@ -345,7 +346,7 @@ def cmd_verify(scenario: dict, out_dir: Path, seed: int, grid_size) -> Path:
         "random_measure_stress": {
             "count": measure_count,
             "max_deviation": float(deviations.max()),
-            "within_epsilon": bool(deviations.max() <= design.epsilon * (1.0 + dz.CERT_RTOL)),
+            "within_epsilon": bool(design.certifies(deviations.max())),
         },
     }
     if design.gammas is not None:

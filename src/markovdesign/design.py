@@ -164,6 +164,10 @@ class SignalDesign:
         k = 1.0 / (lam - self.z0)
         return k if self.alpha0 is None else k * (k - self.alpha0)
 
+    def certifies(self, value):
+        """value <= epsilon (1 + CERT_RTOL), elementwise over arrays; NaN fails."""
+        return value <= self.epsilon * (1.0 + CERT_RTOL)
+
     def deviation(self, lam):
         """|rational - target| evaluated pointwise on real lam."""
         lam = np.asarray(lam, dtype=float)
@@ -280,43 +284,39 @@ def _design(mode: str, poles: PoleSet, numerator_at_poles: np.ndarray,
     return design
 
 
-def design_unit(poles: PoleSet) -> SignalDesign:
-    """Residues making sum alpha_k/(lambda - z_k) approximate 1 on [-1,1].
-
-    N = -T_m/2**(m-1), certified by epsilon = 2/(2 d_min)**m.
+def _moment_design(mode: str, poles: PoleSet, n: int, convergent: bool) -> SignalDesign:
+    """N = -T_{m+n}/2**(m+n-1): since q(z_k) = 0, the remainder of monic
+    T_{m+n} modulo q takes the same values at the nodes, and the quotient
+    term drops out.  The quotient of that Euclidean division is the (monic,
+    degree-n) moment polynomial, the constant 1 at n = 0.
+    Certificate: 2/(2**n (2 d_min)**m).
     """
     m = poles.m
+    if n == 0:
+        gammas = np.array([1.0 + 0.0j])
+    else:
+        gammas = poly_divmod(monic_cheb(m + n), poles.q())[0].array
     return _design(
-        MODE_UNIT, poles, -cheb_eval(m, poles.array) / 2.0 ** (m - 1),
-        epsilon=2.0 / (2.0 * poles.d_min) ** m,
-        gammas=np.array([1.0 + 0.0j]),
-        convergent=_check_convergent(poles),
+        mode, poles, -cheb_eval(m + n, poles.array) / 2.0 ** (m + n - 1),
+        epsilon=2.0 / (2.0 ** n * (2.0 * poles.d_min) ** m),
+        gammas=gammas,
+        convergent=convergent,
     )
+
+
+def design_unit(poles: PoleSet) -> SignalDesign:
+    """Residues making sum alpha_k/(lambda - z_k) approximate 1 on [-1,1]: the
+    moments design at n = 0, N = -T_m/2**(m-1) and epsilon = 2/(2 d_min)**m."""
+    return _moment_design(MODE_UNIT, poles, 0, _check_convergent(poles))
 
 
 def design_moments(poles: PoleSet, n: int) -> SignalDesign:
-    """Design approximating the moment polynomial sum gamma_l lambda**l.
-
-    N = -T_{m+n}/2**(m+n-1): since q(z_k) = 0, the remainder of monic
-    T_{m+n} modulo q takes the same values at the nodes, and the quotient
-    term drops out.  The quotient of that Euclidean division is the (monic,
-    degree-n) moment polynomial.
-    Certificate: 2/(2**n (2 d_min)**m).
-    """
+    """Design approximating the degree-n moment polynomial sum gamma_l lambda**l."""
     if n < 0:
         raise DesignError("moment count n must be nonnegative")
-    m = poles.m
-    if m + n > DEGREE_CAP:
-        raise DesignError(f"m + n = {m + n} exceeds the degree cap {DEGREE_CAP}")
-    quotient, _ = poly_divmod(monic_cheb(m + n), poles.q())
-    gammas = np.pad(quotient.array, (0, n + 1 - quotient.array.size))
-    gammas[-1] = 1.0  # quotient of two monic polynomials; pin exactly
-    return _design(
-        MODE_MOMENTS, poles, -cheb_eval(m + n, poles.array) / 2.0 ** (m + n - 1),
-        epsilon=2.0 / (2.0 ** n * (2.0 * poles.d_min) ** m),
-        gammas=gammas,
-        convergent=_check_convergent(poles),
-    )
+    if poles.m + n > DEGREE_CAP:
+        raise DesignError(f"m + n = {poles.m + n} exceeds the degree cap {DEGREE_CAP}")
+    return _moment_design(MODE_MOMENTS, poles, n, _check_convergent(poles))
 
 
 def _validate_target_point(poles: PoleSet, z0: complex) -> complex:
@@ -330,13 +330,10 @@ def _validate_target_point(poles: PoleSet, z0: complex) -> complex:
     return z0
 
 
-def _region_diagnostics(poles: PoleSet, z0: complex) -> Optional[dict]:
-    # conservative r = 1 membership check; diagnostic only
-    try:
-        spec = RegionSpec(z0=z0, r=1.0)
-    except ValueError:
-        return None
-    return dict(enumerate(in_region_H(poles.array, spec).tolist()))
+def _region_diagnostics(poles: PoleSet, z0: complex) -> dict:
+    # conservative r = 1 membership check; diagnostic only.  Every z0 off
+    # [-1,1] has Joukowski radius R > 1, so RegionSpec(z0, 1) does not raise
+    return dict(enumerate(in_region_H(poles.array, RegionSpec(z0=z0, r=1.0)).tolist()))
 
 
 def _target_design(mode: str, poles: PoleSet, z0: complex, power: int) -> SignalDesign:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .design import CERT_RTOL, SignalDesign
+from .design import SignalDesign
 
 DIM_CAP = 64
 HERMITIAN_TOL = 1e-12
@@ -102,7 +102,7 @@ def _combination(a: np.ndarray, design: SignalDesign) -> np.ndarray:
 
 def _bound(a: np.ndarray, design: SignalDesign):
     norms = np.linalg.svd(_combination(a, design), compute_uv=False)[:, 0]
-    return norms, norms <= design.epsilon * (1.0 + CERT_RTOL)
+    return norms, design.certifies(norms)
 
 
 def resolvent_combination(A: HermitianOperator, design: SignalDesign) -> np.ndarray:

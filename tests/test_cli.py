@@ -104,6 +104,22 @@ BAD_VALUES = [
     ("bounds", "moments_cases", [{"label": 3, "known": []}], "moments_cases[0].label"),
     ("bounds", "moments_cases", [{"label": "x", "known": []}, {"label": "x", "known": [0.4]}],
      "moments_cases[1].label"),
+    # scenario limits: at most 48 frequencies, m + n <= 64, a monic s of degree below m
+    ("design", "frequencies", [[1.0, 0.1 * k] for k in range(1, 50)], "frequencies"),
+    ("design", "design", {"mode": "moments", "n": 62}, "design.n"),
+    ("design", "design", {"mode": "zero_factor", "coeffs": [[-2.5, -0.5], [2.0, 0.0]]},
+     "design.coeffs"),
+    ("design", "design", {"mode": "zero_factor", "coeffs": [[0.0, 0.0]] * 3 + [[1.0, 0.0]]},
+     "design.coeffs"),
+    ("simulate", "measure", {"atoms": 5, "weights": [1.0]}, "measure.atoms"),
+    ("design", "model", {"kind": "lossy_dielectric", "a0": 0}, "model.a0"),
+    ("design", "model", {"kind": "lossy_dielectric", "a0": -1}, "model.a0"),
+    ("design", "model", {"kind": "two_phase", "phases": [{"G": 6000, "eta": 20000}]},
+     "model.phases"),
+    ("design", "frequencies", [], "frequencies"),
+    ("design", "design", {"mode": "frequency_target"}, "design"),
+    ("design", "design", {"mode": "zero_factor", "coeffs": []}, "design.coeffs"),
+    ("design", "design", {"mode": "spline"}, "design.mode"),
 ]
 
 
@@ -183,6 +199,10 @@ class TestScenarioValidation:
         assert f"error: {path}" in capsys.readouterr().err
         assert list(tmp_path.rglob("*")) == [Path(scenario)]
         assert not (tmp_path.parent / "escaped.csv").exists()
+
+    def test_top_level_array_exits_2(self, tmp_path, capsys):
+        assert run("design", write_scenario(tmp_path, [BASE]), tmp_path) == 2
+        assert "error: scenario: top level must be an object" in capsys.readouterr().err
 
     def test_grid_size_too_small_exits_2(self, tmp_path):
         path = write_scenario(tmp_path, BASE)
@@ -358,6 +378,18 @@ class TestVerifyCommand:
         assert stress["within_epsilon"] is (stress["max_deviation"] <= held)
         assert sweep["all_certified"] is (sweep["max_norm"] <= held)
 
+    def test_every_flag_reads_the_one_verdict(self, tmp_path, monkeypatch):
+        # SignalDesign.certifies refusing everything flips the sup check, the
+        # stress flag and the operator flags of a scenario that passes
+        monkeypatch.setattr(markovdesign.design.SignalDesign, "certifies",
+                            lambda self, value: np.zeros(np.shape(value), dtype=bool)[()])
+        path = write_scenario(tmp_path, BASE)
+        assert run("design", path, tmp_path) == 3
+        assert run("verify", path, tmp_path) == 3
+        report = json.loads((tmp_path / "verify.json").read_text())
+        assert report["random_measure_stress"]["within_epsilon"] is False
+        assert report["operator_sweep"]["all_certified"] is False
+
 
 class TestSimulateCommand:
     def test_csv_shape_and_header(self, tmp_path):
@@ -398,6 +430,19 @@ class TestWriteCsv:
         cli.write_csv(tmp_path / "e.csv", ["x", "y"], (np.array([]), np.array([])))
         assert (tmp_path / "e.csv").read_text() == "x,y\n"
 
+    def test_failed_replace_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.csv"
+        path.write_text("old\n")
+
+        def failing_replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(cli.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="replace failed"):
+            cli.write_csv(path, ["x"], (np.array([1.0]),))
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_text() == "old\n"
+
 
 class TestBoundsCommand:
     def test_one_file_per_case(self, tmp_path):
@@ -405,6 +450,21 @@ class TestBoundsCommand:
         assert run("bounds", path, tmp_path) == 0
         assert (tmp_path / "bounds_m0_only.csv").exists()
         assert (tmp_path / "bounds_m0_m1.csv").exists()
+
+    def test_no_cases_bound_the_mass_alone(self, tmp_path):
+        obj = {k: v for k, v in BASE.items() if k != "moments_cases"}
+        assert run("bounds", write_scenario(tmp_path, obj), tmp_path) == 0
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["bounds_m0_only.csv"]
+
+    def test_single_moments_object(self, tmp_path):
+        obj = {k: v for k, v in BASE.items() if k != "moments_cases"}
+        obj["moments"] = {"label": "single", "known": [0.4]}
+        assert run("bounds", write_scenario(tmp_path, obj), tmp_path) == 0
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["bounds_single.csv"]
+        single = np.genfromtxt(tmp_path / "bounds_single.csv", delimiter=",", names=True)
+        run("bounds", write_scenario(tmp_path, BASE), tmp_path / "cases")
+        case = np.genfromtxt(tmp_path / "cases" / "bounds_m0_m1.csv", delimiter=",", names=True)
+        assert single.tobytes() == case.tobytes()
 
     def test_bounds_ordered_and_pinched(self, tmp_path):
         path = write_scenario(tmp_path, BASE)

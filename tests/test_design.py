@@ -1,10 +1,14 @@
+import dataclasses
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from markovdesign import cli
 from markovdesign import design as design_module
 from markovdesign.design import (
+    CERT_RTOL,
     DesignError,
     PoleSet,
     SignalDesign,
@@ -179,6 +183,10 @@ class TestDesignMoments:
         with pytest.raises(DesignError):
             design_moments(poles, 62)
 
+    def test_negative_moment_count_rejected(self):
+        with pytest.raises(DesignError, match="nonnegative"):
+            design_moments(PoleSet(points=DIELECTRIC_POLES), -1)
+
     def test_observed_below_certificate(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
@@ -192,6 +200,82 @@ class TestDesignMoments:
         # 1.7e-10 at (48, 8), so the check takes no absolute slack
         design = design_moments(ellipse_poles(m), n)
         assert design.epsilon_observed <= design.epsilon
+
+
+def _bundled_poles():
+    """The pole sets of the bundled scenarios that list frequencies."""
+    sets = {}
+    for path in sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json")):
+        scenario = cli.load_scenario(str(path))
+        if "frequencies" in scenario:
+            model, omegas = cli.build_model(scenario), cli.parse_frequencies(scenario)
+            sets[path.stem] = cli.build_poles(model, omegas)
+    return sets
+
+
+MOMENT_POLE_SETS = dict(_bundled_poles(), **{f"ellipse_m{m}": ellipse_poles(m)
+                                             for m in (3, 12, 24, 48)})
+
+
+def _bits(value):
+    """A design field as bytes where it is a float or an array, so that == compares bit for bit."""
+    if isinstance(value, (float, np.ndarray)):
+        value = np.asarray(value)
+        return value.dtype.str, value.tobytes()
+    return value
+
+
+class TestOneMomentConstruction:
+    """design_unit is design_moments at n = 0."""
+
+    @pytest.mark.filterwarnings("ignore:d_min")
+    @pytest.mark.parametrize("name", sorted(MOMENT_POLE_SETS))
+    def test_unit_is_moments_at_zero_bit_for_bit(self, name):
+        poles = MOMENT_POLE_SETS[name]
+        unit, moments0 = design_unit(poles), design_moments(poles, 0)
+        assert (unit.mode, moments0.mode) == ("unit", "moments")
+        for f in dataclasses.fields(SignalDesign):
+            if f.name != "mode":
+                assert _bits(getattr(unit, f.name)) == _bits(getattr(moments0, f.name)), f.name
+
+    def test_no_division_without_moments(self, monkeypatch):
+        def no_node_polynomial(self):
+            raise AssertionError("the n = 0 design expanded the node polynomial")
+
+        monkeypatch.setattr(PoleSet, "q", no_node_polynomial)
+        poles = PoleSet(points=DIELECTRIC_POLES)
+        design_unit(poles)
+        design_moments(poles, 0)
+        with pytest.raises(AssertionError):
+            design_moments(poles, 1)
+
+    @pytest.mark.parametrize("build", [design_unit, lambda poles: design_moments(poles, 0)],
+                             ids=["unit", "moments"])
+    def test_d_min_warning_names_the_caller(self, build):
+        with pytest.warns(UserWarning, match="d_min") as record:
+            build(PoleSet(points=(0.3j,)))
+        assert [w.filename for w in record] == [__file__]
+
+
+class TestCertifies:
+    """One verdict: a deviation holds when it is at most epsilon (1 + CERT_RTOL)."""
+
+    DESIGN = design_moments(PoleSet(points=DIELECTRIC_POLES), 1)
+    TIE = DESIGN.epsilon * (1.0 + CERT_RTOL)
+
+    def test_holds_at_the_tie_and_fails_above(self):
+        assert self.DESIGN.certifies(self.TIE)
+        assert not self.DESIGN.certifies(np.nextafter(self.TIE, np.inf))
+        assert self.DESIGN.certifies(0.0)
+
+    def test_nan_fails(self):
+        assert not self.DESIGN.certifies(float("nan"))
+
+    def test_elementwise_over_arrays(self):
+        values = np.array([[0.0, self.TIE], [np.nextafter(self.TIE, np.inf), np.nan]])
+        verdict = self.DESIGN.certifies(values)
+        assert verdict.shape == values.shape
+        assert verdict.tolist() == [[True, True], [False, False]]
 
 
 class TestFrequencyTarget:
@@ -231,6 +315,13 @@ class TestFrequencyTarget:
         design = design_frequency_target(PoleSet(points=self.POLES), self.Z0)
         assert design.region_diagnostics is not None
         assert all(design.region_diagnostics.values())
+
+    @pytest.mark.parametrize("z0", [0.5 + 1.1e-12j, 1.0 + 1.1e-12, -1.0 - 1.1e-12j,
+                                    -1.0 - 1e-12 - 1e-12j])
+    def test_region_diagnostics_next_to_the_segment(self, z0):
+        # every admitted z0 has Joukowski radius R > 1, so the r = 1 region exists
+        design = design_frequency_target(PoleSet(points=(2.0 + 1.0j,)), z0)
+        assert list(design.region_diagnostics) == [0]
 
 
 class TestDerivativeTarget:

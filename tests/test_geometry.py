@@ -137,6 +137,10 @@ class TestRegionH:
         with pytest.raises(ValueError):
             RegionSpec(z0=1.25, r=2.0)
 
+    def test_r_must_be_positive(self):
+        with pytest.raises(ValueError, match="positive"):
+            RegionSpec(z0=1.25, r=0.0)
+
     def test_degenerate_z0_rejected(self):
         with pytest.raises(DegeneratePointError):
             RegionSpec(z0=0.5, r=0.5)

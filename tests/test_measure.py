@@ -39,6 +39,10 @@ class TestDiscreteMeasure:
         assert mu.atoms == (-0.5, 0.5)
         assert mu.weights == pytest.approx((0.4, 0.6))
 
+    def test_mismatched_atoms_and_weights_rejected(self):
+        with pytest.raises(MeasureError, match="matched"):
+            DiscreteMeasure(atoms=(0.0, 0.5), weights=(1.0,))
+
     def test_mass_must_be_one(self):
         with pytest.raises(MeasureError):
             DiscreteMeasure(atoms=(0.0,), weights=(0.5,))
@@ -123,6 +127,10 @@ class TestMoments:
         assert got[1] == pytest.approx(0.0, abs=1e-15)
         assert got[3] == pytest.approx(0.0, abs=1e-15)
 
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            moments(DiscreteMeasure.point_mass(0.5), -1)
+
     @given(atoms=atom_lists, data=st.data())
     @settings(max_examples=100)
     def test_moment_inequalities(self, atoms, data):
@@ -204,6 +212,10 @@ class TestRandomMeasureWithMoments:
     def test_unreachable_moment_rejected(self):
         with pytest.raises(MeasureError):
             random_measure_with_moments(0.9, 2, 0, atoms=(-0.5, 0.5))
+
+    def test_single_atom_rejected(self):
+        with pytest.raises(MeasureError, match="2 atoms"):
+            random_measure_with_moments(0.1, 1, 0)
 
     def test_moment_outside_open_interval_rejected(self):
         with pytest.raises(MeasureError):

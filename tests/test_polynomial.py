@@ -32,6 +32,10 @@ class TestChebEval:
         with pytest.raises(DegreeLimitError):
             cheb_eval(65, 0.3)
 
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            cheb_eval(-1, 0.3)
+
     def test_matches_expanded_coefficients_in_disk(self):
         rng = np.random.default_rng(7)
         for m in range(21):

@@ -214,6 +214,10 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(t_start=1.0, t_end=0.0, steps=3)
 
+    def test_single_step_rejected(self):
+        with pytest.raises(ValueError, match="2 time steps"):
+            TimeGrid(t_start=0.0, t_end=1.0, steps=1)
+
     @pytest.mark.parametrize("t_start, t_end", [
         (-1.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (-1.0, np.nan)])
     def test_non_finite_interval_rejected(self, t_start, t_end):
@@ -277,6 +281,14 @@ class TestSynthesisAndSimulation:
         grid = TimeGrid(t_start=-1.0, t_end=1.0, steps=11)
         with pytest.raises(ValueError, match="frequencies must be finite"):
             call(design, model, np.r_[OMEGAS[:2], bad], grid)
+
+    def test_vanishing_input_scale_rejected(self):
+        # c(omega) = 0 leaves the input amplitude alpha_k / c(omega_k) undefined
+        _, design = dielectric_setup()
+        model = SystemModel.custom(lambda w: 2.0 + 1j / w, lambda w: 0j)
+        grid = TimeGrid(t_start=-1.0, t_end=1.0, steps=11)
+        with pytest.raises(ValueError, match=r"c\(omega_k\) = 0"):
+            synthesize_input(design, model, OMEGAS, grid)
 
     def test_single_frequency_response_shape(self):
         model = SystemModel.lossy_dielectric()
