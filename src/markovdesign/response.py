@@ -123,8 +123,8 @@ class TimeGrid:
     t0: float = 0.0
 
     def __post_init__(self):
-        if not -np.inf < self.t_start < self.t_end < np.inf:  # NaN fails too
-            raise ValueError("need finite t_start < t_end")
+        if not 0 < self.t_end - self.t_start < np.inf:  # NaN and infinite ends fail too
+            raise ValueError("need finite t_start < t_end with a finite span t_end - t_start")
         if self.steps < 2:
             raise ValueError("need at least 2 time steps")
         if not self.t_start <= self.t0 <= self.t_end:
@@ -137,7 +137,11 @@ class TimeGrid:
 
 def _phases(omegas: np.ndarray, times: np.ndarray, t0: float) -> np.ndarray:
     """exp(-i omega_k (t - t0)) as a (len(omegas), len(times)) array."""
-    return np.exp(-1j * omegas[:, None] * (times[None, :] - t0))
+    phases = np.exp(-1j * omegas[:, None] * (times[None, :] - t0))
+    if not np.isfinite(phases).all():
+        raise OverflowError("exp(-i omega_k (t - t0)) overflows on this grid "
+                            "(Im omega_k (t - t0) above about 709)")
+    return phases
 
 
 def _design_omegas(design: SignalDesign, omegas: Sequence[complex]) -> np.ndarray:
@@ -174,7 +178,7 @@ def single_frequency_response(model: SystemModel, omega0: complex,
     """Response a0 F_mu(z(omega0)) exp(-i omega0 (t - t0)) to the unit-amplitude
     single-frequency input u0(t) = exp(-i omega0 (t - t0))/c(omega0)."""
     f0 = markov_eval(mu, model_z(model, omega0))
-    return model.a0 * f0 * np.exp(-1j * complex(omega0) * (grid.times - grid.t0))
+    return model.a0 * f0 * _phases(np.array([complex(omega0)]), grid.times, grid.t0)[0]
 
 
 def crest_ratio(design: SignalDesign, omegas: Sequence[complex], grid: TimeGrid,

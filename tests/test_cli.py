@@ -75,6 +75,9 @@ BAD_VALUES = [
     ("simulate", "grid", 3, "grid"),
     ("simulate", "grid", dict(BASE["grid"], t_end=float("inf")), "grid"),
     ("bounds", "grid", dict(BASE["grid"], t_start=float("-inf")), "grid"),
+    # finite ends, but t_end - t_start overflows: linspace gave NaN and inf times
+    ("simulate", "grid", dict(BASE["grid"], t_start=-1e308, t_end=1e308), "grid"),
+    ("bounds", "grid", dict(BASE["grid"], t_start=-1e308, t_end=1e308), "grid"),
     ("simulate", "measure", {"atoms": ["a", "b"], "weights": [0.5, 0.5]}, "measure"),
     ("region", "region", dict(REGION, r=float("nan")), "region"),
     ("region", "region", dict(REGION, r=None), "region"),
@@ -207,6 +210,54 @@ class TestScenarioValidation:
     def test_grid_size_too_small_exits_2(self, tmp_path):
         path = write_scenario(tmp_path, BASE)
         assert run("design", path, tmp_path, "--grid-size", "4") == 2
+
+
+FIG4 = json.loads((SCENARIO_DIR / "fig4_dielectric.json").read_text())
+
+
+class TestFailureRule:
+    """ScenarioError exits 2; any other ValueError or ArithmeticError exits 3."""
+
+    def test_exit_code_follows_exception_kind(self, tmp_path, monkeypatch):
+        def failing(exc):
+            def command(*args):
+                raise exc
+            return command
+
+        path = write_scenario(tmp_path, BASE)
+        for exc, code in [(cli.ScenarioError("grid", "x"), 2), (ValueError("x"), 3),
+                          (np.linalg.LinAlgError("x"), 3), (OverflowError("x"), 3),
+                          (ZeroDivisionError("x"), 3), (cli.CertificateViolation("x"), 3)]:
+            monkeypatch.setitem(cli.COMMANDS, "design", failing(exc))
+            assert run("design", path, tmp_path) == code, type(exc).__name__
+        for bug in (KeyError, TypeError, AttributeError, OSError):  # bugs and I/O propagate
+            monkeypatch.setitem(cli.COMMANDS, "design", failing(bug("x")))
+            with pytest.raises(bug):
+                run("design", path, tmp_path)
+
+    def test_overflowing_frequency_exits_3(self, tmp_path, capsys):
+        # omega = 1e200 overflows the plasma map's omega ** 2
+        obj = dict(BASE, model={"kind": "plasma", "a0": 0.6},
+                   frequencies=[[1e200, 0.0], [1.0, 1.0]])
+        assert run("design", write_scenario(tmp_path, obj), tmp_path) == 3
+        assert "numeric error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["design", "simulate", "bounds"])
+    def test_overflowing_certificate_exits_3(self, tmp_path, capsys, command):
+        # 30 poles near -2e12: (2 d_min) ** 30 is past the float range
+        obj = dict(FIG4, model={"kind": "plasma", "a0": 0.6},
+                   frequencies=[[1e-6 * (1 + k / 100), 0.0] for k in range(30)])
+        assert run(command, write_scenario(tmp_path, obj), tmp_path / "out") == 3
+        assert "numeric error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "bounds"])
+    def test_overflowing_phase_exits_3(self, tmp_path, capsys, command):
+        # Im omega_1 (t - t0) reaches 1500: 53 of 101 rows were written as NaN
+        obj = dict(FIG4, grid={"t_start": -8.0, "t_end": 1500.0, "steps": 101, "t0": 0.0})
+        assert run(command, write_scenario(tmp_path, obj), tmp_path / "out") == 3
+        assert "numeric error: exp" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
 
 
 ALL_MODES = {
@@ -473,6 +524,20 @@ class TestBoundsCommand:
         assert np.all(data["lower"] <= data["upper"])
         i0 = int(np.argmin(np.abs(data["t"])))
         assert data["lower"][i0] <= 0.6 <= data["upper"][i0]
+
+    def test_cases_sharing_an_envelope_solve_it_once(self, tmp_path, monkeypatch):
+        # fig4's m0_m1 and m0_m1_a0 differ only in a0_known
+        calls = []
+        solve = cli.rz.response_bounds
+        monkeypatch.setattr(cli.rz, "response_bounds", lambda *a: calls.append(a) or solve(*a))
+        assert run("bounds", str(SCENARIO_DIR / "fig4_dielectric.json"), tmp_path / "all") == 0
+        assert len(calls) == 2
+        for case in FIG4["moments_cases"]:  # each case alone writes the same bytes
+            path = write_scenario(tmp_path, dict(FIG4, moments_cases=[case]))
+            assert run("bounds", path, tmp_path / case["label"]) == 0
+            name = f"bounds_{case['label']}.csv"
+            alone = (tmp_path / case["label"] / name).read_bytes()
+            assert (tmp_path / "all" / name).read_bytes() == alone
 
     def test_point_mass_moments_within_rounding_accepted(self, tmp_path):
         # 0.4 ** 2 is 0.16000000000000003, above M2 = 0.16 by one rounding

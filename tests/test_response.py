@@ -224,6 +224,12 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="finite"):
             TimeGrid(t_start=t_start, t_end=t_end, steps=3)
 
+    def test_overflowing_span_rejected(self):
+        # both ends are finite but t_end - t_start is not: linspace gave NaN times
+        with pytest.raises(ValueError, match="finite span"):
+            TimeGrid(t_start=-1e308, t_end=1e308, steps=3)
+        assert np.isfinite(TimeGrid(t_start=-8e307, t_end=8e307, steps=3).times).all()
+
 
 class TestSynthesisAndSimulation:
     def test_response_at_t0_is_measure_independent(self):
@@ -289,6 +295,27 @@ class TestSynthesisAndSimulation:
         grid = TimeGrid(t_start=-1.0, t_end=1.0, steps=11)
         with pytest.raises(ValueError, match=r"c\(omega_k\) = 0"):
             synthesize_input(design, model, OMEGAS, grid)
+
+    def test_phase_overflow_raises(self):
+        # exp(Im omega (t - t0)) is finite up to about 709 and inf past it
+        omegas, t0 = np.array([0.5, 1j]), 0.0
+        assert np.isfinite(response._phases(omegas, np.array([-1e4, 0.0, 700.0]), t0)).all()
+        with pytest.raises(OverflowError, match="above about 709"):
+            response._phases(omegas, np.array([0.0, 710.0]), t0)
+
+    @pytest.mark.parametrize("call", [
+        lambda design, model, grid: synthesize_input(design, model, OMEGAS, grid),
+        lambda design, model, grid: simulate_response(design, model, OMEGAS, MU, grid),
+        lambda design, model, grid: single_frequency_response(model, OMEGAS[0], MU, grid),
+        lambda design, model, grid: response_bounds(design, model, OMEGAS, [0.4], 0.0, grid),
+    ], ids=["synthesize_input", "simulate_response", "single_frequency_response",
+            "response_bounds"])
+    def test_overflowing_grid_raises(self, call):
+        # Im omega_1 = 1 and t - t0 up to 1500: these returned NaN and inf
+        model, design = dielectric_setup()
+        grid = TimeGrid(t_start=-8.0, t_end=1500.0, steps=101)
+        with pytest.raises(OverflowError, match="exp"):
+            call(design, model, grid)
 
     def test_single_frequency_response_shape(self):
         model = SystemModel.lossy_dielectric()
