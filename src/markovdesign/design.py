@@ -19,7 +19,10 @@ moments designs have closed forms (2/(2 d_min)**m and relatives), and the
 target and zero-factor designs pad values on the Chebyshev-Lobatto grid in
 closed form, so that min |q| is bounded from below and sup |N| from above on
 all of [-1,1].  The measured bound ``epsilon_observed`` comes from the same
-kind of grid, zoomed in around its argmax by repeated finer scans.
+kind of grid, zoomed in around its argmax by repeated finer scans until the
+bracket spans less than 2**-26 min(1, d), d the least distance of the poles
+(and z0) to [-1,1]: sqrt(u) of the length on which the deviation varies, past
+which a smooth maximum moves only in its rounding.
 
 Certificates read one fixed 4,096-node grid (``SUP_GRID_SIZE``); a
 ``grid_size`` given to ``verify_sup`` moves ``epsilon_observed``, never ``epsilon``.
@@ -50,6 +53,11 @@ from .polynomial import (
 MAX_POLES = 48
 SUP_GRID_SIZE = 4096
 _SCAN_CHUNK = 4096  # grid nodes per table of a sup scan, whatever its grid_size
+# a zoom level rescans its bracket at these 65 fractions (i/64, exact)
+_ZOOM = np.linspace(0.0, 1.0, 65)
+_ZOOM.flags.writeable = False
+_ZOOM_RTOL = 2.0 ** -26  # sqrt(u), u = 2**-52 the float64 machine epsilon
+_ZOOM_FLOOR = 2.0 ** -46  # 64 ulps of 1: below it the 65 points would repeat
 # a relative tie, epsilon * (1 + CERT_RTOL): an absolute one hides violations of a tiny epsilon
 CERT_RTOL = 1e-12
 
@@ -117,14 +125,15 @@ class PoleSet:
         return np.prod(diff, axis=1)
 
 
-def _squared_distances(z: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """For poles z_k = x_k + i y_k and real lam of shape (N,), one (2, m, N)
-    block holding the tables dx = x_k - lam and |lam - z_k|**2 = dx**2 + y_k**2
-    (one block, so that one matrix product reads both)."""
-    table = np.empty((2, z.size, lam.size))
-    np.subtract(z.real[:, None], lam, out=table[0])
+def _squared_distances(x: np.ndarray, y2: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """For poles z_k = x_k + i y_k, given as x and y2 = y**2, and real lam of
+    shape (N,), one (2, m, N) block holding the tables dx = x_k - lam and
+    |lam - z_k|**2 = dx**2 + y_k**2 (one block, so that one matrix product
+    reads both)."""
+    table = np.empty((2, x.size, lam.size))
+    np.subtract(x[:, None], lam, out=table[0])
     np.multiply(table[0], table[0], out=table[1])
-    table[1] += (z.imag ** 2)[:, None]
+    table[1] += y2[:, None]
     return table
 
 
@@ -177,18 +186,24 @@ class SignalDesign:
 def _deviation_kernel(design: SignalDesign):
     """lam -> |R(lam) - target(lam)| for real lam of shape (N,), its
     coefficients built once: alpha_k/(lam - z_k) = alpha_k (-dx + i y_k)/|lam - z_k|**2,
-    so Re R and Im R are one real matrix product."""
+    so Re R and Im R are one real matrix product.  A constant target (unit
+    and zero-factor designs) is subtracted as a scalar."""
     z = design.poles.array
-    a, b, y = design.alphas.real, design.alphas.imag, z.imag
+    x, y = np.ascontiguousarray(z.real), z.imag
+    y2 = y ** 2
+    a, b = design.alphas.real, design.alphas.imag
     coef = np.array([[-a, -b * y], [-b, a * y]]).reshape(2, -1)
+    target = None
+    if design.gammas is not None and design.gammas.size == 1:
+        target = complex(design.gammas[0])
 
     def kernel(lam):
-        table = _squared_distances(z, lam)
+        table = _squared_distances(x, y2, lam)
         np.reciprocal(table[1], out=table[1])
         table[0] *= table[1]
         re, im = coef @ table.reshape(coef.shape[1], -1)
-        target = design.target_eval(lam)
-        return np.hypot(re - target.real, im - target.imag)
+        t = design.target_eval(lam) if target is None else target
+        return np.hypot(re - t.real, im - t.imag)
 
     return kernel
 
@@ -203,7 +218,14 @@ def sup_deviation(design: SignalDesign, grid_size: int = SUP_GRID_SIZE):
     """Worst deviation |R(lambda) - target(lambda)| on [-1,1].
 
     Scans a Chebyshev-Lobatto grid, then zooms: the two cells around the
-    argmax are rescanned at 65 points until they span less than 1e-13.
+    argmax are rescanned at 65 points until they span less than
+    2**-26 min(1, d), d the least distance to [-1,1] of the poles and of z0
+    (but not below 2**-46, where the 65 points would repeat).  The deviation
+    varies on a length of order min(1, d), and near a smooth maximum
+    f(x* + h) - f(x*) is of order f''(x*) h**2, so once h is sqrt(u) of
+    that length a finer zoom moves the value by about u, below the rounding
+    of the evaluation itself (Brent, "Algorithms for Minimization without
+    Derivatives", 1973, ch. 5).
     Returns (lambda_star, value) for the best point evaluated, so the value
     is never below the grid maximum.
     """
@@ -225,8 +247,12 @@ def sup_deviation(design: SignalDesign, grid_size: int = SUP_GRID_SIZE):
     i, best_v = firsts[int(np.argmax([v for _, v in firsts]))]
     best_x, best_v = float(nodes(i, i + 1)[0]), float(best_v)
     lo, hi = nodes(max(i - 1, 0), i + 2)[[0, -1]]
-    while hi - lo >= 1e-13:
-        grid = np.linspace(lo, hi, 65)
+    d = design.poles.d_min
+    if design.z0 is not None:
+        d = min(d, segment_distance(design.z0))
+    width = max(_ZOOM_RTOL * min(1.0, d), _ZOOM_FLOOR)
+    while hi - lo >= width:
+        grid = lo + (hi - lo) * _ZOOM
         vals = deviation(grid)
         i = int(np.argmax(vals))
         if vals[i] > best_v:
@@ -248,6 +274,8 @@ if SUP_GRID_SIZE < 4 * MAX_POLES + 1:
     raise RuntimeError(f"SUP_GRID_SIZE must be at least {4 * MAX_POLES + 1}")
 _CERTIFICATE_GRID = _lobatto_grid(SUP_GRID_SIZE)
 _CERTIFICATE_GRID.flags.writeable = False
+_HALF_CELLS = 0.5 * np.diff(_CERTIFICATE_GRID)
+_HALF_CELLS.flags.writeable = False
 
 
 def _min_abs_q(poles: PoleSet) -> float:
@@ -257,9 +285,10 @@ def _min_abs_q(poles: PoleSet) -> float:
     |q| stays above the smaller endpoint value times exp(-(h/2) sum_j 1/d_j).
     """
     # the square root before the product keeps the exponent range of |q|
-    sq = _squared_distances(poles.array, _CERTIFICATE_GRID)[1]
+    z = poles.array
+    sq = _squared_distances(z.real, z.imag ** 2, _CERTIFICATE_GRID)[1]
     vals = np.prod(np.sqrt(sq, out=sq), axis=0)
-    pad = np.exp(-0.5 * np.diff(_CERTIFICATE_GRID) * np.sum(1.0 / np.array(poles.distances)))
+    pad = np.exp(-_HALF_CELLS * np.sum(1.0 / np.array(poles.distances)))
     return float(np.min(np.minimum(vals[:-1], vals[1:]) * pad))
 
 
@@ -292,13 +321,18 @@ def _moment_design(mode: str, poles: PoleSet, n: int, convergent: bool) -> Signa
     Certificate: 2/(2**n (2 d_min)**m).
     """
     m = poles.m
+    try:
+        epsilon = 2.0 / (2.0 ** n * (2.0 * poles.d_min) ** m)
+    except OverflowError:
+        raise DesignError(f"(2 d_min)**m overflows at d_min = {poles.d_min:.6g}, m = {m}: "
+                          "the poles lie too far from [-1,1]") from None
     if n == 0:
         gammas = np.array([1.0 + 0.0j])
     else:
         gammas = poly_divmod(monic_cheb(m + n), poles.q())[0].array
     return _design(
         mode, poles, -cheb_eval(m + n, poles.array) / 2.0 ** (m + n - 1),
-        epsilon=2.0 / (2.0 ** n * (2.0 * poles.d_min) ** m),
+        epsilon=epsilon,
         gammas=gammas,
         convergent=convergent,
     )

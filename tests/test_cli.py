@@ -242,13 +242,17 @@ class TestFailureRule:
         assert run("design", write_scenario(tmp_path, obj), tmp_path) == 3
         assert "numeric error" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["design", "simulate", "bounds"])
     def test_overflowing_certificate_exits_3(self, tmp_path, capsys, command):
         # 30 poles near -2e12: (2 d_min) ** 30 is past the float range
         obj = dict(FIG4, model={"kind": "plasma", "a0": 0.6},
                    frequencies=[[1e-6 * (1 + k / 100), 0.0] for k in range(30)])
         assert run(command, write_scenario(tmp_path, obj), tmp_path / "out") == 3
-        assert "numeric error" in capsys.readouterr().err
+        # one line that names the quantity, raised before any numpy overflow
+        assert capsys.readouterr().err.splitlines() == [
+            "numeric error: (2 d_min)**m overflows at d_min = 1.20185e+12, m = 30: "
+            "the poles lie too far from [-1,1]"]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "bounds"])

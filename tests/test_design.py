@@ -414,6 +414,17 @@ class TestGridCertificates:
         want = np.min(np.minimum(vals[:-1], vals[1:]) * pad)
         assert _min_abs_q(poles) == pytest.approx(want, rel=1e-14)
 
+    @pytest.mark.parametrize("poles", [PoleSet(points=DIELECTRIC_POLES), ellipse_poles(48)])
+    def test_half_cells_are_hoisted_bit_for_bit(self, poles):
+        assert not design_module._HALF_CELLS.flags.writeable
+        # the padding as it read with the cell widths taken on every call
+        z = poles.array
+        sq = design_module._squared_distances(z.real, z.imag ** 2, _lobatto_grid(4096))[1]
+        vals = np.prod(np.sqrt(sq), axis=0)
+        pad = np.exp(-0.5 * np.diff(_lobatto_grid(4096)) * np.sum(1.0 / np.array(poles.distances)))
+        want = float(np.min(np.minimum(vals[:-1], vals[1:]) * pad))
+        assert _bits(_min_abs_q(poles)) == _bits(want)
+
     @pytest.mark.parametrize("build", [
         lambda poles: design_frequency_target(poles, 2.0 + 1.0 / 0.7),
         lambda poles: design_derivative_target(poles, 2.0 + 1.0 / 0.7),
@@ -500,6 +511,57 @@ class TestVerifySup:
         # sums the m terms in another order)
         assert design.deviation(design.lambda_star) == pytest.approx(
             design.epsilon_observed, rel=1e-9)
+
+    @pytest.mark.filterwarnings("ignore:d_min")
+    @pytest.mark.filterwarnings("ignore:divide by zero")
+    @pytest.mark.parametrize("mode", sorted(ALL_MODES))
+    @pytest.mark.parametrize("d_min", [1e-1, 1e-3, 1e-5, 1e-7])
+    def test_zoom_stop_keeps_the_local_maximum(self, mode, d_min):
+        # the zoom stops once its bracket spans less than 2**-26 min(1, d);
+        # a pole at distance d_min above 0.3 makes the deviation peak there
+        # on that length scale (the zero factor drops the first pole only).
+        # At 1e-7 the padded min |q| underflows to 0, and the target and
+        # zero-factor certificates are inf
+        poles = PoleSet(points=(-0.6 - 0.5j, 0.3 + 1j * d_min, 2.2 + 0.4j, -1.8 - 0.2j))
+        assert poles.d_min == pytest.approx(d_min)
+        design = ALL_MODES[mode](poles)
+        lam, top = design.lambda_star, design.epsilon_observed * (1.0 + 1e-9)
+        grid = design_module._CERTIFICATE_GRID
+        j = int(np.argmin(np.abs(grid - lam)))
+        cells = np.linspace(grid[max(j - 1, 0)], grid[min(j + 1, grid.size - 1)], 2 ** 16 + 1)
+        assert design.deviation(cells).max() <= top
+        # finer than the zoom's last level: a stop at 2**-26 without the
+        # factor min(1, d) falls 2e-7 below this maximum at d = 1e-7
+        peak = np.linspace(max(lam - d_min / 4, -1.0), min(lam + d_min / 4, 1.0), 2 ** 16 + 1)
+        assert design.deviation(peak).max() <= top
+
+    def test_zoom_levels_on_the_fig4_unit_design(self, monkeypatch):
+        # one scan of the 4,096-node grid, then at most three 65-point levels
+        design = design_unit(PoleSet(points=DIELECTRIC_POLES))
+        sizes = []
+        kernel = design_module._deviation_kernel
+
+        def counting(design):
+            inner = kernel(design)
+
+            def deviation(lam):
+                sizes.append(lam.size)
+                return inner(lam)
+            return deviation
+
+        monkeypatch.setattr(design_module, "_deviation_kernel", counting)
+        assert sup_deviation(design) == (design.lambda_star, design.epsilon_observed)
+        assert sizes[0] == 4096 and set(sizes[1:]) == {65}
+        assert len(sizes) <= 1 + 3
+
+    @pytest.mark.parametrize("mode", ["unit", "zero_factor"])
+    def test_constant_target_needs_no_target_array(self, mode, monkeypatch):
+        design = ALL_MODES[mode](PoleSet(points=DIELECTRIC_POLES))
+        lam = np.linspace(-1.0, 1.0, 101)
+        want = design.deviation(lam)
+        monkeypatch.setattr(SignalDesign, "target_eval", None)
+        assert design.deviation(lam).tobytes() == want.tobytes()
+        assert sup_deviation(design) == (design.lambda_star, design.epsilon_observed)
 
     @pytest.mark.parametrize("size", [0, 1])
     def test_grid_below_two_rejected(self, size):
