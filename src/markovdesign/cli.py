@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import json
 import os
 import re
@@ -152,16 +151,16 @@ def build_poles(model: rz.SystemModel, omegas: np.ndarray) -> dz.PoleSet:
     return dz.PoleSet(points=tuple(rz.model_z(model, w) for w in omegas))
 
 
-def build_design(scenario: dict, model: rz.SystemModel,
-                 omegas: np.ndarray) -> dz.SignalDesign:
+def build_design(scenario: dict, model: rz.SystemModel, omegas: np.ndarray,
+                 grid_size=dz.SUP_GRID_SIZE) -> dz.SignalDesign:
     spec = _object(scenario.get("design", {"mode": "unit"}), "design")
     mode = spec.get("mode", "unit")
     poles = build_poles(model, omegas)
     if mode == "unit":
-        return dz.design_unit(poles)
+        return dz.design_unit(poles, grid_size)
     if mode == "moments":
         n = _integer(spec.get("n", 1), "design.n", 0, dz.DEGREE_CAP - poles.m)
-        return dz.design_moments(poles, n)
+        return dz.design_moments(poles, n, grid_size)
     if mode in ("frequency_target", "derivative_target"):
         if "z0" in spec:
             z0 = _as_complex(spec["z0"], "design.z0")
@@ -171,14 +170,14 @@ def build_design(scenario: dict, model: rz.SystemModel,
             raise ScenarioError("design", "target modes need z0 or omega0")
         builder = (dz.design_frequency_target if mode == "frequency_target"
                    else dz.design_derivative_target)
-        return builder(poles, z0)
+        return builder(poles, z0, grid_size)
     if mode == "zero_factor":
         coeffs = _require(spec, "coeffs", "design")
         if not isinstance(coeffs, list) or not coeffs:
             raise ScenarioError("design.coeffs", "must be a nonempty coefficient list")
         s = tuple(_as_complex(c, f"design.coeffs[{i}]") for i, c in enumerate(coeffs))
         with _field("design.coeffs"):  # not monic, or of degree m or more
-            return dz.design_with_zero_factor(poles, ComplexPolynomial(s))
+            return dz.design_with_zero_factor(poles, ComplexPolynomial(s), grid_size)
     raise ScenarioError("design.mode", f"unknown mode {mode!r}")
 
 
@@ -244,14 +243,17 @@ def _atomic_write(path: Path, data: str):
 
 
 def write_csv(path: Path, header, columns):
-    buf = io.StringIO()
-    np.savetxt(buf, np.column_stack(columns), fmt="%.17g", delimiter=",",
-               header=",".join(header), comments="")
-    _atomic_write(path, buf.getvalue())
+    table = np.column_stack(columns)  # one % pass writes what np.savetxt writes row by row
+    rows = (",".join(["%.17g"] * table.shape[1]) + "\n") * len(table)
+    _atomic_write(path, ",".join(header) + "\n" + rows % tuple(table.ravel().tolist()))
 
 
 def write_json(path: Path, obj):
-    _atomic_write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    try:  # JSON has no NaN or infinity
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise ValueError(f"{path}: a non-finite number cannot be written as JSON") from None
+    _atomic_write(path, text)
 
 
 def design_report(design: dz.SignalDesign) -> dict:
@@ -292,13 +294,10 @@ def _stress_deviations(design: dz.SignalDesign, atoms: np.ndarray,
                                     - design.target_eval(atoms)), axis=1))
 
 
-def _designed(scenario: dict, grid_size=None):
-    """The scenario's model, frequencies and design; grid_size moves only epsilon_observed."""
+def _designed(scenario: dict, grid_size=dz.SUP_GRID_SIZE):
+    """The scenario's model, frequencies and design, measured on grid_size (None: not)."""
     model, omegas = build_model(scenario), parse_frequencies(scenario)
-    design = build_design(scenario, model, omegas)
-    if grid_size is not None:
-        dz.verify_sup(design, grid_size)
-    return model, omegas, design
+    return model, omegas, build_design(scenario, model, omegas, grid_size)
 
 
 def _require_certified(path: Path, design: dz.SignalDesign, *flags: bool):
@@ -349,7 +348,7 @@ def cmd_verify(scenario: dict, out_dir: Path, seed: int, grid_size) -> Path:
 
 
 def cmd_simulate(scenario: dict, out_dir: Path, seed: int, grid_size) -> Path:
-    model, omegas, design = _designed(scenario)
+    model, omegas, design = _designed(scenario, None)  # writes no epsilon_observed
     mu = build_measure(scenario)
     grid = build_grid(scenario)
     u = rz.synthesize_input(design, model, omegas, grid)
@@ -367,7 +366,7 @@ def cmd_simulate(scenario: dict, out_dir: Path, seed: int, grid_size) -> Path:
 
 
 def cmd_bounds(scenario: dict, out_dir: Path, seed: int, grid_size):
-    model, omegas, design = _designed(scenario)
+    model, omegas, design = _designed(scenario, None)  # writes no epsilon_observed
     grid = build_grid(scenario)
     envelopes, paths = {}, []  # cases differing only in a0_known share an envelope
     for case in _moment_cases(scenario):
@@ -421,8 +420,8 @@ PARSER.add_argument("command", choices=sorted(COMMANDS))
 PARSER.add_argument("--scenario", required=True, help="scenario JSON path")
 PARSER.add_argument("--out", default=".", help="output directory")
 PARSER.add_argument("--seed", type=int, default=None, help="override scenario seed")
-PARSER.add_argument("--grid-size", type=int, default=None,
-                    help="verification grid size (epsilon_observed only, not epsilon)")
+PARSER.add_argument("--grid-size", type=int, default=dz.SUP_GRID_SIZE,
+                    help="sup grid of design and verify: moves epsilon_observed, not epsilon")
 
 
 def main(argv=None) -> int:
@@ -432,7 +431,7 @@ def main(argv=None) -> int:
         scenario = load_scenario(args.scenario)
         seed = _integer(args.seed if args.seed is not None else scenario.get("seed", 0),
                         "seed", 0)
-        if args.grid_size is not None and args.grid_size < 8:
+        if args.grid_size < 8:
             raise ScenarioError("grid-size", "must be at least 8")
         result = COMMANDS[args.command](scenario, Path(args.out), seed, args.grid_size)
     except ScenarioError as exc:

@@ -24,8 +24,9 @@ bracket spans less than 2**-26 min(1, d), d the least distance of the poles
 (and z0) to [-1,1]: sqrt(u) of the length on which the deviation varies, past
 which a smooth maximum moves only in its rounding.
 
-Certificates read one fixed 4,096-node grid (``SUP_GRID_SIZE``); a
-``grid_size`` given to ``verify_sup`` moves ``epsilon_observed``, never ``epsilon``.
+Certificates read one fixed 4,096-node grid (``SUP_GRID_SIZE``).  Constructors
+measure ``epsilon_observed`` (never ``epsilon``) on ``grid_size`` nodes, that grid
+by default; ``None`` leaves it NaN, which ``certifies`` never accepts.
 Grid scans run in real arithmetic on a table of squared distances
 |lambda - z_k|**2, in chunks of ``_SCAN_CHUNK`` nodes so that their memory
 does not grow with ``grid_size``.
@@ -303,17 +304,18 @@ def _check_convergent(poles: PoleSet) -> bool:
     return True
 
 
-def _design(mode: str, poles: PoleSet, numerator_at_poles: np.ndarray,
+def _design(mode: str, poles: PoleSet, numerator_at_poles: np.ndarray, grid_size,
             **fields) -> SignalDesign:
-    """The one residue formula alpha_k = N(z_k)/q'(z_k), then sup verification."""
+    """The one residue formula alpha_k = N(z_k)/q'(z_k), then verify_sup on grid_size."""
     design = SignalDesign(mode=mode, poles=poles,
                           alphas=numerator_at_poles / poles.off_diagonal_products(),
                           **fields)
-    verify_sup(design)
+    if grid_size is not None:
+        verify_sup(design, grid_size)
     return design
 
 
-def _moment_design(mode: str, poles: PoleSet, n: int, convergent: bool) -> SignalDesign:
+def _moment_design(mode: str, poles: PoleSet, n: int, convergent: bool, grid_size) -> SignalDesign:
     """N = -T_{m+n}/2**(m+n-1): since q(z_k) = 0, the remainder of monic
     T_{m+n} modulo q takes the same values at the nodes, and the quotient
     term drops out.  The quotient of that Euclidean division is the (monic,
@@ -331,26 +333,26 @@ def _moment_design(mode: str, poles: PoleSet, n: int, convergent: bool) -> Signa
     else:
         gammas = poly_divmod(monic_cheb(m + n), poles.q())[0].array
     return _design(
-        mode, poles, -cheb_eval(m + n, poles.array) / 2.0 ** (m + n - 1),
+        mode, poles, -cheb_eval(m + n, poles.array) / 2.0 ** (m + n - 1), grid_size,
         epsilon=epsilon,
         gammas=gammas,
         convergent=convergent,
     )
 
 
-def design_unit(poles: PoleSet) -> SignalDesign:
+def design_unit(poles: PoleSet, grid_size=SUP_GRID_SIZE) -> SignalDesign:
     """Residues making sum alpha_k/(lambda - z_k) approximate 1 on [-1,1]: the
     moments design at n = 0, N = -T_m/2**(m-1) and epsilon = 2/(2 d_min)**m."""
-    return _moment_design(MODE_UNIT, poles, 0, _check_convergent(poles))
+    return _moment_design(MODE_UNIT, poles, 0, _check_convergent(poles), grid_size)
 
 
-def design_moments(poles: PoleSet, n: int) -> SignalDesign:
+def design_moments(poles: PoleSet, n: int, grid_size=SUP_GRID_SIZE) -> SignalDesign:
     """Design approximating the degree-n moment polynomial sum gamma_l lambda**l."""
     if n < 0:
         raise DesignError("moment count n must be nonnegative")
     if poles.m + n > DEGREE_CAP:
         raise DesignError(f"m + n = {poles.m + n} exceeds the degree cap {DEGREE_CAP}")
-    return _moment_design(MODE_MOMENTS, poles, n, _check_convergent(poles))
+    return _moment_design(MODE_MOMENTS, poles, n, _check_convergent(poles), grid_size)
 
 
 def _validate_target_point(poles: PoleSet, z0: complex) -> complex:
@@ -370,7 +372,7 @@ def _region_diagnostics(poles: PoleSet, z0: complex) -> dict:
     return dict(enumerate(in_region_H(poles.array, RegionSpec(z0=z0, r=1.0)).tolist()))
 
 
-def _target_design(mode: str, poles: PoleSet, z0: complex, power: int) -> SignalDesign:
+def _target_design(mode: str, poles: PoleSet, z0: complex, power: int, grid_size) -> SignalDesign:
     """Target designs: b_m = q(z0)/T_{m-1}(z0) makes q - b_m T_{m-1} vanish
     at z0, N = -b_m T_{m-1}/(lambda - z0)**power, and the certificate is
     |b_m| / (d0**power * min |q|), with min |q| bounded from grid values."""
@@ -385,7 +387,7 @@ def _target_design(mode: str, poles: PoleSet, z0: complex, power: int) -> Signal
     alpha0 = (np.sum(1.0 / (z0 - z)) - cheb_eval_deriv(m - 1, z0) / t_at_z0
               if power == 2 else None)
     return _design(
-        mode, poles, -b_m * cheb_eval(m - 1, z) / (z - z0) ** power,
+        mode, poles, -b_m * cheb_eval(m - 1, z) / (z - z0) ** power, grid_size,
         epsilon=abs(b_m) / (segment_distance(z0) ** power * _min_abs_q(poles)),
         alpha0=alpha0,
         b_m=b_m,
@@ -394,17 +396,17 @@ def _target_design(mode: str, poles: PoleSet, z0: complex, power: int) -> Signal
     )
 
 
-def design_frequency_target(poles: PoleSet, z0: complex) -> SignalDesign:
+def design_frequency_target(poles: PoleSet, z0: complex, grid_size=SUP_GRID_SIZE) -> SignalDesign:
     """Design approximating the resolvent kernel 1/(lambda - z0).
 
     N = -b_m T_{m-1}/(lambda - z0) with b_m = q(z0)/T_{m-1}(z0); the
     certificate is |b_m| / (d0 * min |q| on [-1,1]), with min |q| bounded
     from below by Lipschitz padding of its values on the Lobatto grid.
     """
-    return _target_design(MODE_FREQUENCY_TARGET, poles, z0, 1)
+    return _target_design(MODE_FREQUENCY_TARGET, poles, z0, 1, grid_size)
 
 
-def design_derivative_target(poles: PoleSet, z0: complex) -> SignalDesign:
+def design_derivative_target(poles: PoleSet, z0: complex, grid_size=SUP_GRID_SIZE) -> SignalDesign:
     """Design approximating d/dz of the resolvent kernel at z0.
 
     The double-root construction forces both the value and the derivative of
@@ -414,10 +416,11 @@ def design_derivative_target(poles: PoleSet, z0: complex) -> SignalDesign:
     1/(lambda - z0)**2 - alpha0/(lambda - z0) and the certificate is
     |b_m| / (d0**2 * min |q|), with min |q| padded as for the frequency target.
     """
-    return _target_design(MODE_DERIVATIVE_TARGET, poles, z0, 2)
+    return _target_design(MODE_DERIVATIVE_TARGET, poles, z0, 2, grid_size)
 
 
-def design_with_zero_factor(poles: PoleSet, s: ComplexPolynomial) -> SignalDesign:
+def design_with_zero_factor(poles: PoleSet, s: ComplexPolynomial,
+                            grid_size=SUP_GRID_SIZE) -> SignalDesign:
     """Unit design with T_m replaced by s(lambda) T_{m-M}(lambda).
 
     N = -s T_{m-M}/2**(m-M-1).  The prescribed monic factor s (degree M < m)
@@ -444,7 +447,7 @@ def design_with_zero_factor(poles: PoleSet, s: ComplexPolynomial) -> SignalDesig
     grid = _CERTIFICATE_GRID
     sup_numerator = np.max(np.abs(numerator(grid))) / np.cos(m * np.pi / (2 * (grid.size - 1)))
     return _design(
-        MODE_ZERO_FACTOR, poles, -numerator(poles.array),
+        MODE_ZERO_FACTOR, poles, -numerator(poles.array), grid_size,
         epsilon=float(sup_numerator / _min_abs_q(poles)),
         gammas=np.array([1.0 + 0.0j]),
         convergent=_check_convergent(poles),

@@ -62,16 +62,13 @@ class RegionSpec:
 
 
 def in_region_H(z, spec: RegionSpec):
-    """Membership in H(r) = H1 union H2 union H3 around spec.z0.
+    """Membership in H(r) around spec.z0: |z - z0| <= r dist(z, [-1,1]).
 
-    Elementwise over arrays; a bool for a scalar.  Boundary points (equality
-    in the defining inequalities) count as inside.
+    That is H1 u H2 u H3: |z - z0| <= r |z + 1| for Re z <= -1, r |Im z| for
+    |Re z| <= 1 and r |z - 1| for Re z >= 1, since z - clip(Re z, -1, 1) is
+    z + 1, i Im z or z - 1 there, to the bit.  Elementwise over arrays; a bool
+    for a scalar.  Boundary points (equality) count as inside.
     """
     z = np.asarray(z, dtype=complex)
-    r = spec.r
-    d = np.abs(z - spec.z0)
-    x = z.real
-    inside = (((x <= -1.0) & (d <= r * np.abs(z + 1.0)))
-              | ((-1.0 <= x) & (x <= 1.0) & (d <= r * np.abs(z.imag)))
-              | ((x >= 1.0) & (d <= r * np.abs(z - 1.0))))
+    inside = np.abs(z - spec.z0) <= spec.r * np.abs(z - np.clip(z.real, -1.0, 1.0))
     return bool(inside) if inside.ndim == 0 else inside

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -263,6 +264,20 @@ class TestFailureRule:
         assert "numeric error: exp" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
 
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    @pytest.mark.parametrize("command", ["design", "verify"])
+    def test_non_finite_report_exits_3(self, tmp_path, capsys, command):
+        # a pole 1e-7 above 0.3 underflows the padding of min |q| to 0, so the
+        # frequency-target certificate is infinite; JSON has no infinity
+        omega = 1j / (0.3 + 1e-7j - 2.0)
+        obj = dict(BASE, frequencies=[[omega.real, omega.imag], [1.0, 1.0]],
+                   design={"mode": "frequency_target", "z0": [2.0, 1.4]})
+        assert run(command, write_scenario(tmp_path, obj), tmp_path / "out") == 3
+        path = tmp_path / "out" / f"{command}.json"
+        assert capsys.readouterr().err.splitlines() == [
+            f"numeric error: {path}: a non-finite number cannot be written as JSON"]
+        assert not (tmp_path / "out").exists()
+
 
 ALL_MODES = {
     "unit": {"mode": "unit"},
@@ -363,6 +378,29 @@ class TestDesignCommand:
         # z(0.7i) = 2 + i/(0.7i) = 2 + 1/0.7
         assert complex(*report["z0"]) == pytest.approx(2.0 + 1.0 / 0.7)
         assert "b_m" in report
+
+
+class TestSupMeasurement:
+    """design and verify measure epsilon_observed once, on --grid-size nodes;
+    simulate and bounds, which never write it, do not measure it."""
+
+    @pytest.mark.parametrize("grid", [None, 64])
+    @pytest.mark.parametrize("command, calls",
+                             [("design", 1), ("verify", 1), ("simulate", 0), ("bounds", 0)])
+    @pytest.mark.parametrize("mode", sorted(ALL_MODES))
+    def test_sup_deviation_calls(self, tmp_path, monkeypatch, mode, command, calls, grid):
+        sizes = []
+        scan = markovdesign.design.sup_deviation
+
+        def counted(design, grid_size):
+            sizes.append(grid_size)
+            return scan(design, grid_size)
+
+        monkeypatch.setattr(markovdesign.design, "sup_deviation", counted)
+        path = write_scenario(tmp_path, dict(BASE, design=ALL_MODES[mode]))
+        flag = () if grid is None else ("--grid-size", str(grid))
+        assert run(command, path, tmp_path / "out", *flag) == 0
+        assert sizes == [grid or markovdesign.design.SUP_GRID_SIZE] * calls
 
 
 class TestVerifyCommand:
@@ -484,6 +522,16 @@ class TestWriteCsv:
     def test_empty_table_writes_header_only(self, tmp_path):
         cli.write_csv(tmp_path / "e.csv", ["x", "y"], (np.array([]), np.array([])))
         assert (tmp_path / "e.csv").read_text() == "x,y\n"
+
+    @pytest.mark.parametrize("shape", [(1, 5), (101, 1), (1, 1)])
+    def test_same_bytes_as_savetxt(self, tmp_path, shape):
+        table = np.random.default_rng(5).standard_normal(shape)
+        header = [f"c{i}" for i in range(shape[1])]
+        cli.write_csv(tmp_path / "t.csv", header, list(table.T))
+        want = io.BytesIO()
+        np.savetxt(want, table, fmt="%.17g", delimiter=",", header=",".join(header),
+                   comments="")
+        assert (tmp_path / "t.csv").read_bytes() == want.getvalue()
 
     def test_failed_replace_keeps_the_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "t.csv"

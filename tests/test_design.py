@@ -462,11 +462,11 @@ class TestStieltjesCoefficients:
 # and the zero factor s = lambda - z_1
 ALL_MODES = {
     "unit": design_unit,
-    "moments": lambda poles: design_moments(poles, 2),
-    "frequency_target": lambda poles: design_frequency_target(poles, 2.0 + 1.4j),
-    "derivative_target": lambda poles: design_derivative_target(poles, 2.0 + 1.4j),
-    "zero_factor": lambda poles: design_with_zero_factor(
-        poles, monic_from_roots([poles.points[0]])),
+    "moments": lambda poles, **kw: design_moments(poles, 2, **kw),
+    "frequency_target": lambda poles, **kw: design_frequency_target(poles, 2.0 + 1.4j, **kw),
+    "derivative_target": lambda poles, **kw: design_derivative_target(poles, 2.0 + 1.4j, **kw),
+    "zero_factor": lambda poles, **kw: design_with_zero_factor(
+        poles, monic_from_roots([poles.points[0]]), **kw),
 }
 
 
@@ -569,6 +569,20 @@ class TestVerifySup:
         design = design_unit(PoleSet(points=DIELECTRIC_POLES))
         with pytest.raises(ValueError, match="grid_size"):
             verify_sup(design, size)
+
+    @pytest.mark.parametrize("mode", sorted(ALL_MODES))
+    def test_constructor_grid_size_moves_only_the_observation(self, mode):
+        poles = PoleSet(points=DIELECTRIC_POLES)
+        default = ALL_MODES[mode](poles)
+        coarse = ALL_MODES[mode](poles, grid_size=64)
+        unmeasured = ALL_MODES[mode](poles, grid_size=None)
+        assert (coarse.lambda_star, coarse.epsilon_observed) == sup_deviation(default, 64)
+        # an unmeasured design can never pass as certified
+        assert np.isnan(unmeasured.epsilon_observed) and np.isnan(unmeasured.lambda_star)
+        assert not unmeasured.certifies(unmeasured.epsilon_observed)
+        for design in (coarse, unmeasured):
+            assert design.epsilon == default.epsilon
+            assert design.alphas.tobytes() == default.alphas.tobytes()
 
     def test_stores_observation(self):
         design = design_unit(PoleSet(points=DIELECTRIC_POLES))

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,24 @@ from markovdesign.geometry import (
 )
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+
+FIG7 = json.loads((Path(__file__).resolve().parent.parent / "scenarios"
+                   / "fig7_regions.json").read_text())["region"]
+FIG7_SPEC = RegionSpec(z0=complex(*FIG7["z0"]), r=FIG7["r"])
+# fig7's region, one on each side of the segment and one around a point above it
+SPECS = [FIG7_SPEC, RegionSpec(z0=2.5 + 0.5j, r=0.9), RegionSpec(z0=-1.5 - 0.2j, r=0.5),
+         RegionSpec(z0=0.2 + 0.3j, r=0.25)]
+
+
+def three_branch_H(z, spec: RegionSpec) -> np.ndarray:
+    """H1 u H2 u H3 branch by branch: |z - z0| <= r |z + 1| for Re z <= -1,
+    r |Im z| for |Re z| <= 1 and r |z - 1| for Re z >= 1."""
+    z = np.asarray(z, dtype=complex)
+    d = np.abs(z - spec.z0)
+    x = z.real
+    return (((x <= -1.0) & (d <= spec.r * np.abs(z + 1.0)))
+            | ((-1.0 <= x) & (x <= 1.0) & (d <= spec.r * np.abs(z.imag)))
+            | ((x >= 1.0) & (d <= spec.r * np.abs(z - 1.0))))
 
 
 def branchy_distance(z: complex) -> float:
@@ -144,6 +165,37 @@ class TestRegionH:
     def test_degenerate_z0_rejected(self):
         with pytest.raises(DegeneratePointError):
             RegionSpec(z0=0.5, r=0.5)
+
+    def test_fig7_grid_matches_three_branches(self):
+        # the mesh the region command scans
+        half_width = 3.0 + abs(FIG7_SPEC.z0)
+        axis = np.linspace(-half_width, half_width, FIG7["samples"])
+        z = axis[:, None] + 1j * axis[None, :]
+        assert np.array_equal(in_region_H(z, FIG7_SPEC), three_branch_H(z, FIG7_SPEC))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_segment_ends_and_real_axis_match_three_branches(self, spec):
+        y = np.concatenate([np.linspace(-4.0, 4.0, 2001), [5e-324, -5e-324, 1e-300, -0.0]])
+        ends = np.array([-1.0, 1.0, np.nextafter(-1.0, 0.0), np.nextafter(1.0, 0.0),
+                         np.nextafter(-1.0, -2.0), np.nextafter(1.0, 2.0)])
+        axis = np.concatenate([np.linspace(-6.0, 6.0, 4001), ends]).astype(complex)
+        # the real axis with Im z = +0.0 and, through conj, -0.0
+        for z in (ends[:, None] + 1j * y[None, :], axis, np.conj(axis)):
+            assert np.array_equal(in_region_H(z, spec), three_branch_H(z, spec))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_random_points_match_three_branches(self, spec):
+        rng = np.random.default_rng(20260825)
+        z = rng.uniform(-6.0, 6.0, 10 ** 5) + 1j * rng.uniform(-6.0, 6.0, 10 ** 5)
+        inside = in_region_H(z, spec)
+        assert np.array_equal(inside, three_branch_H(z, spec))
+        assert 0 < inside.sum() < inside.size
+
+    @pytest.mark.parametrize("z", [2.5 + 0.5j, -5.0 + 0.01j, 2.0, 1.2, -1.0, 0.3 + 0.7j, 1])
+    def test_scalar_gives_bool(self, z):
+        spec = RegionSpec(z0=2.5 + 0.5j, r=0.9)
+        got = in_region_H(z, spec)
+        assert type(got) is bool and got == bool(three_branch_H(z, spec))
 
     @given(x=finite, y=finite, x0=finite, y0=finite,
            r1=st.floats(min_value=0.05, max_value=0.95),
