@@ -153,25 +153,25 @@ def build_poles(model: rz.SystemModel, omegas: np.ndarray) -> dz.PoleSet:
 
 def build_design(scenario: dict, model: rz.SystemModel, omegas: np.ndarray,
                  grid_size=dz.SUP_GRID_SIZE) -> dz.SignalDesign:
-    spec = _object(scenario.get("design", {"mode": "unit"}), "design")
-    mode = spec.get("mode", "unit")
+    spec = _object(scenario.get("design", {"mode": dz.MODE_UNIT}), "design")
+    mode = spec.get("mode", dz.MODE_UNIT)
     poles = build_poles(model, omegas)
-    if mode == "unit":
+    if mode == dz.MODE_UNIT:
         return dz.design_unit(poles, grid_size)
-    if mode == "moments":
+    if mode == dz.MODE_MOMENTS:
         n = _integer(spec.get("n", 1), "design.n", 0, dz.DEGREE_CAP - poles.m)
         return dz.design_moments(poles, n, grid_size)
-    if mode in ("frequency_target", "derivative_target"):
+    if mode in (dz.MODE_FREQUENCY_TARGET, dz.MODE_DERIVATIVE_TARGET):
         if "z0" in spec:
             z0 = _as_complex(spec["z0"], "design.z0")
         elif "omega0" in spec:
             z0 = rz.model_z(model, _as_complex(spec["omega0"], "design.omega0"))
         else:
             raise ScenarioError("design", "target modes need z0 or omega0")
-        builder = (dz.design_frequency_target if mode == "frequency_target"
+        builder = (dz.design_frequency_target if mode == dz.MODE_FREQUENCY_TARGET
                    else dz.design_derivative_target)
         return builder(poles, z0, grid_size)
-    if mode == "zero_factor":
+    if mode == dz.MODE_ZERO_FACTOR:
         coeffs = _require(spec, "coeffs", "design")
         if not isinstance(coeffs, list) or not coeffs:
             raise ScenarioError("design.coeffs", "must be a nonempty coefficient list")
@@ -288,10 +288,10 @@ def _stress_deviations(design: dz.SignalDesign, atoms: np.ndarray,
                        weights: np.ndarray) -> np.ndarray:
     """|sum alpha_k F_mu(z_k) - target through mu| for a batch of measures.
 
-    By linearity in mu this is |sum_j w_j (rational - target)(lambda_j)|.
+    By linearity in mu this is |sum_j w_j E(lambda_j)|, E the sup scan's error.
     """
-    return np.abs(np.sum(weights * (design.rational_eval(atoms)
-                                    - design.target_eval(atoms)), axis=1))
+    error = dz._error_kernel(design)(atoms.ravel())
+    return np.hypot(*(weights * np.reshape(error, (2,) + atoms.shape)).sum(axis=-1))
 
 
 def _designed(scenario: dict, grid_size=dz.SUP_GRID_SIZE):

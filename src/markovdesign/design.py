@@ -27,9 +27,9 @@ which a smooth maximum moves only in its rounding.
 Certificates read one fixed 4,096-node grid (``SUP_GRID_SIZE``).  Constructors
 measure ``epsilon_observed`` (never ``epsilon``) on ``grid_size`` nodes, that grid
 by default; ``None`` leaves it NaN, which ``certifies`` never accepts.
-Grid scans run in real arithmetic on a table of squared distances
-|lambda - z_k|**2, in chunks of ``_SCAN_CHUNK`` nodes so that their memory
-does not grow with ``grid_size``.
+One real kernel evaluates the error on a table of squared distances
+|lambda - z_k|**2; scans call it in chunks of ``_SCAN_CHUNK`` nodes so that
+their memory does not grow with ``grid_size``.
 """
 
 from __future__ import annotations
@@ -165,9 +165,8 @@ class SignalDesign:
     def target_eval(self, lam):
         """The function the rational combination approximates on [-1,1]:
         the polynomial sum gamma_l lambda**l when gammas are set, otherwise
-        k = 1/(lambda - z0), times (k - alpha0) when alpha0 is set."""
-        if self.gammas is not None and self.gammas.size == 1 and not np.iscomplexobj(lam):
-            return np.full(np.shape(lam), self.gammas[0])[()]  # unit and zero-factor targets
+        k = 1/(lambda - z0), times (k - alpha0) when alpha0 is set.  With
+        rational_eval, the complex reference for ``_error_kernel``."""
         lam = np.asarray(lam, dtype=complex)
         if self.gammas is not None:
             return np.polynomial.polynomial.polyval(lam, self.gammas)
@@ -181,14 +180,14 @@ class SignalDesign:
     def deviation(self, lam):
         """|rational - target| evaluated pointwise on real lam."""
         lam = np.asarray(lam, dtype=float)
-        return _deviation_kernel(self)(lam.reshape(-1)).reshape(lam.shape)[()]
+        return np.hypot(*_error_kernel(self)(lam.reshape(-1))).reshape(lam.shape)[()]
 
 
-def _deviation_kernel(design: SignalDesign):
-    """lam -> |R(lam) - target(lam)| for real lam of shape (N,), its
-    coefficients built once: alpha_k/(lam - z_k) = alpha_k (-dx + i y_k)/|lam - z_k|**2,
-    so Re R and Im R are one real matrix product.  A constant target (unit
-    and zero-factor designs) is subtracted as a scalar."""
+def _error_kernel(design: SignalDesign):
+    """lam -> (Re E, Im E) for real lam of shape (N,): the one evaluator of the
+    design error E = R - target, R = sum alpha_k/(lam - z_k).  As
+    alpha_k/(lam - z_k) = alpha_k (-dx + i y_k)/|lam - z_k|**2, Re R and Im R are
+    one real matrix product; a constant target (unit, zero factor) is a scalar."""
     z = design.poles.array
     x, y = np.ascontiguousarray(z.real), z.imag
     y2 = y ** 2
@@ -204,7 +203,7 @@ def _deviation_kernel(design: SignalDesign):
         table[0] *= table[1]
         re, im = coef @ table.reshape(coef.shape[1], -1)
         t = design.target_eval(lam) if target is None else target
-        return np.hypot(re - t.real, im - t.imag)
+        return re - t.real, im - t.imag
 
     return kernel
 
@@ -238,12 +237,12 @@ def sup_deviation(design: SignalDesign, grid_size: int = SUP_GRID_SIZE):
             return _CERTIFICATE_GRID[start:stop]
         return _lobatto_grid(grid_size, start, stop)
 
-    deviation = _deviation_kernel(design)
+    error = _error_kernel(design)
     # the first argmax of the whole grid: the first one in the first chunk
     # that holds the largest chunk maximum
     firsts = []
     for start in range(0, grid_size, _SCAN_CHUNK):
-        vals = deviation(nodes(start, start + _SCAN_CHUNK))
+        vals = np.hypot(*error(nodes(start, start + _SCAN_CHUNK)))
         firsts.append((start + int(np.argmax(vals)), vals.max()))
     i, best_v = firsts[int(np.argmax([v for _, v in firsts]))]
     best_x, best_v = float(nodes(i, i + 1)[0]), float(best_v)
@@ -254,7 +253,7 @@ def sup_deviation(design: SignalDesign, grid_size: int = SUP_GRID_SIZE):
     width = max(_ZOOM_RTOL * min(1.0, d), _ZOOM_FLOOR)
     while hi - lo >= width:
         grid = lo + (hi - lo) * _ZOOM
-        vals = deviation(grid)
+        vals = np.hypot(*error(grid))
         i = int(np.argmax(vals))
         if vals[i] > best_v:
             best_x, best_v = float(grid[i]), float(vals[i])
@@ -439,7 +438,6 @@ def design_with_zero_factor(poles: PoleSet, s: ComplexPolynomial,
     scale = 2.0 ** (m - M - 1)
 
     def numerator(lam):
-        lam = np.asarray(lam, dtype=complex)
         return s(lam) * cheb_eval(m - M, lam) / scale
 
     # Ehlich-Zeller holds for real polynomials; it bounds complex N through

@@ -8,7 +8,7 @@ atoms), so finite atoms suffice and quadrature error never enters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,13 +53,6 @@ class DiscreteMeasure:
     @property
     def weight_array(self) -> np.ndarray:
         return np.asarray(self.weights, dtype=float)
-
-    def to_json(self) -> dict:
-        return {"atoms": list(self.atoms), "weights": list(self.weights)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DiscreteMeasure":
-        return cls(atoms=tuple(obj["atoms"]), weights=tuple(obj["weights"]))
 
     @classmethod
     def point_mass(cls, lam: float) -> "DiscreteMeasure":

@@ -82,7 +82,7 @@ def _random_stack(dim: int, seeds: Sequence[int]) -> np.ndarray:
 
 def random_hermitian_in_spectrum(dim: int, seed: int) -> HermitianOperator:
     """Seeded random Hermitian matrix with eigenvalues uniform in [-1,1]."""
-    return HermitianOperator(entries=tuple(map(tuple, _random_stack(dim, [seed])[0].tolist())))
+    return HermitianOperator(entries=_random_stack(dim, [seed])[0])
 
 
 def _combination(a: np.ndarray, design: SignalDesign) -> np.ndarray:

@@ -29,6 +29,7 @@ _COARSE_STEP = 8
 # No bound solves a linear program; the name stays, always None, because the
 # perfbench tracer counts calls to ``response.linprog``.
 linprog = None
+_LOG_MAX = np.log(np.finfo(float).max)  # exp(x) overflows where Re x > _LOG_MAX
 
 
 class SingularFrequencyError(ValueError):
@@ -137,11 +138,12 @@ class TimeGrid:
 
 def _phases(omegas: np.ndarray, times: np.ndarray, t0: float) -> np.ndarray:
     """exp(-i omega_k (t - t0)) as a (len(omegas), len(times)) array."""
-    phases = np.exp(-1j * omegas[:, None] * (times[None, :] - t0))
-    if not np.isfinite(phases).all():
+    exponent = -1j * omegas[:, None] * (times[None, :] - t0)
+    # exp(_LOG_MAX) is finite; a NaN maximum and an infinite angle both fail
+    if not (exponent.real.max() <= _LOG_MAX and np.isfinite(exponent).all()):
         raise OverflowError("exp(-i omega_k (t - t0)) overflows on this grid "
                             "(Im omega_k (t - t0) above about 709)")
-    return phases
+    return np.exp(exponent)
 
 
 def _design_omegas(design: SignalDesign, omegas: Sequence[complex]) -> np.ndarray:

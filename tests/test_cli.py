@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -257,11 +258,22 @@ class TestFailureRule:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "bounds"])
-    def test_overflowing_phase_exits_3(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("change", [
         # Im omega_1 (t - t0) reaches 1500: 53 of 101 rows were written as NaN
-        obj = dict(FIG4, grid={"t_start": -8.0, "t_end": 1500.0, "steps": 101, "t0": 0.0})
-        assert run(command, write_scenario(tmp_path, obj), tmp_path / "out") == 3
-        assert "numeric error: exp" in capsys.readouterr().err
+        {"grid": {"t_start": -8.0, "t_end": 1500.0, "steps": 101, "t0": 0.0}},
+        # Im omega_4 (t - t0) reaches 800 at t = 2 on the bundled grid
+        {"frequencies": FIG4["frequencies"] + [[2.0, 400.0]]},
+    ], ids=["long_grid", "fourth_frequency"])
+    def test_overflowing_phase_exits_3(self, tmp_path, capsys, command, change):
+        obj = dict(FIG4, **change)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(command, write_scenario(tmp_path, obj), tmp_path / "out") == 3
+        # one line, with no numpy warning ahead of it
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err.splitlines() == [
+            "numeric error: exp(-i omega_k (t - t0)) overflows on this grid "
+            "(Im omega_k (t - t0) above about 709)"]
         assert not list(tmp_path.rglob("*.csv"))
 
     @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
@@ -358,6 +370,29 @@ class TestDesignCommand:
         report = json.loads((tmp_path / "design.json").read_text())
         assert report["epsilon_observed"] > report["epsilon"] * (1.0 + 1e-12)
         assert str(tmp_path / "design.json") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", [{"mode": "unit"},
+                                      {"mode": "frequency_target", "omega0": [0.0, 0.7]}],
+                             ids=["unit", "frequency_target"])
+    @pytest.mark.parametrize("spacing", [np.linspace, np.geomspace], ids=["even", "log"])
+    @pytest.mark.parametrize("m", [4, 8, 12, 16, 24])
+    def test_real_band_exits_0_only_when_certified(self, tmp_path, capsys, mode, spacing, m):
+        # m real frequencies in [0.2, 20] put the lossy-dielectric poles
+        # 2 + i/omega close to one another near 2; some of these designs
+        # measure a deviation above their certificate.  Whichever they do,
+        # exit 0 means the certificate holds, and exit 3 names the report
+        # it still writes, on one line
+        obj = dict(BASE, frequencies=[[w, 0.0] for w in spacing(0.2, 20.0, m)], design=mode)
+        code = run("design", write_scenario(tmp_path, obj), tmp_path / "out")
+        path = tmp_path / "out" / "design.json"
+        report = json.loads(path.read_text())
+        certified = report["epsilon_observed"] <= report["epsilon"] * (1.0 + 1e-12)
+        err = capsys.readouterr().err.splitlines()
+        if certified:
+            assert code == 0 and err == []
+        else:
+            assert code == 3
+            assert err == [f"numeric error: {path}: the certificate epsilon does not hold"]
 
     def test_smallest_grid_size_certifies_zero_factor(self, tmp_path):
         # 12 frequencies on a circle in the upper half plane; the certificate

@@ -474,9 +474,9 @@ class TestTargetEval:
     @pytest.mark.parametrize("mode", sorted(ALL_MODES))
     @pytest.mark.parametrize("m", [3, 48])
     def test_real_lambda_matches_complex_evaluation_bit_for_bit(self, mode, m):
-        # on real lambda a one-term target is a constant, with no complex
-        # cast; every target gives the bits, type and shape of polyval on
-        # lambda cast to complex
+        # every target casts lambda to complex and gives the bits, type and
+        # shape of polyval on that cast (the real kernel subtracts a
+        # one-term target as a scalar and never calls target_eval for it)
         design = ALL_MODES[mode](ellipse_poles(m))
         grid = np.random.default_rng(m).uniform(-1.0, 1.0, 24)
         for lam in (0.3, -1.0, np.array(0.3), grid, grid.reshape(4, 6)):
@@ -539,17 +539,17 @@ class TestVerifySup:
         # one scan of the 4,096-node grid, then at most three 65-point levels
         design = design_unit(PoleSet(points=DIELECTRIC_POLES))
         sizes = []
-        kernel = design_module._deviation_kernel
+        kernel = design_module._error_kernel
 
         def counting(design):
             inner = kernel(design)
 
-            def deviation(lam):
+            def error(lam):
                 sizes.append(lam.size)
                 return inner(lam)
-            return deviation
+            return error
 
-        monkeypatch.setattr(design_module, "_deviation_kernel", counting)
+        monkeypatch.setattr(design_module, "_error_kernel", counting)
         assert sup_deviation(design) == (design.lambda_star, design.epsilon_observed)
         assert sizes[0] == 4096 and set(sizes[1:]) == {65}
         assert len(sizes) <= 1 + 3

@@ -58,10 +58,6 @@ class TestDiscreteMeasure:
         with pytest.raises(MeasureError):
             DiscreteMeasure(atoms=(float("nan"), 0.5), weights=(0.5, 0.5))
 
-    def test_json_round_trip(self):
-        mu = DiscreteMeasure(atoms=(-0.5, 0.5), weights=(0.1, 0.9))
-        assert DiscreteMeasure.from_json(mu.to_json()) == mu
-
     @given(atoms=atom_lists, data=st.data())
     @settings(max_examples=200)
     def test_canonical_form_invariants(self, atoms, data):

@@ -297,11 +297,21 @@ class TestSynthesisAndSimulation:
             synthesize_input(design, model, OMEGAS, grid)
 
     def test_phase_overflow_raises(self):
-        # exp(Im omega (t - t0)) is finite up to about 709 and inf past it
+        # exp(Im omega (t - t0)) is finite up to log(DBL_MAX) = 709.78... and
+        # inf one float past it; omega = i makes Im omega (t - t0) = t exactly
         omegas, t0 = np.array([0.5, 1j]), 0.0
-        assert np.isfinite(response._phases(omegas, np.array([-1e4, 0.0, 700.0]), t0)).all()
-        with pytest.raises(OverflowError, match="above about 709"):
-            response._phases(omegas, np.array([0.0, 710.0]), t0)
+        top = np.log(np.finfo(float).max)
+        assert np.isfinite(response._phases(omegas, np.array([-1e4, 0.0, top]), t0)).all()
+        for late in (710.0, np.nextafter(top, np.inf)):
+            with pytest.raises(OverflowError, match="above about 709"):
+                response._phases(omegas, np.array([0.0, late]), t0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+    def test_infinite_phase_angle_raises(self):
+        # omega (t - t0) = 1e400: the phase has modulus 1, but its angle is
+        # infinite and exp would return NaN; refused like a modulus overflow
+        with pytest.raises(OverflowError, match="exp"):
+            response._phases(np.array([1e200]), np.array([-1e200, 0.0]), 0.0)
 
     @pytest.mark.parametrize("call", [
         lambda design, model, grid: synthesize_input(design, model, OMEGAS, grid),
