@@ -26,6 +26,9 @@ from .measure import DiscreteMeasure, markov_eval
 _EXCHANGE_PASSES = 64
 # The spacing, in atoms, of the grid a two-moment simplex solves first
 _COARSE_STEP = 8
+# The bytes of reduced costs priced per matrix product: about 1 MiB (62 rows
+# of 2,049 atoms) stays in L2 while each row's minimum is taken
+_PRICE_BYTES = 1 << 20
 # No bound solves a linear program; the name stays, always None, because the
 # perfbench tracer counts calls to ``response.linprog``.
 linprog = None
@@ -138,9 +141,16 @@ class TimeGrid:
 
 def _phases(omegas: np.ndarray, times: np.ndarray, t0: float) -> np.ndarray:
     """exp(-i omega_k (t - t0)) as a (len(omegas), len(times)) array."""
-    exponent = -1j * omegas[:, None] * (times[None, :] - t0)
-    # exp(_LOG_MAX) is finite; a NaN maximum and an infinite angle both fail
-    if not (exponent.real.max() <= _LOG_MAX and np.isfinite(exponent).all()):
+    offsets = times - t0
+    # the largest |Re or Im omega_k| times the largest |t - t0|, in Python
+    # floats, which overflow to inf with no warning: it is finite exactly
+    # when every product in the exponent is (a NaN fails too)
+    largest = float(np.abs([omegas.real, omegas.imag]).max()) * float(np.abs(offsets).max())
+    if not np.isfinite(largest):
+        raise OverflowError("exp(-i omega_k (t - t0)) overflows on this grid "
+                            "(omega_k (t - t0) past the float range)")
+    exponent = -1j * omegas[:, None] * offsets[None, :]
+    if not exponent.real.max() <= _LOG_MAX:  # exp(_LOG_MAX) is finite
         raise OverflowError("exp(-i omega_k (t - t0)) overflows on this grid "
                             "(Im omega_k (t - t0) above about 709)")
     return np.exp(exponent)
@@ -236,47 +246,62 @@ def _starting_basis(lam, p, m1, var, band):
     return ([a, p, q] if v <= uq * (m1 - lam[a]) else [a, q, c]), [1.0] * 3
 
 
-def _best_certificate(g, moments, basis, signs, band, tol, residual):
-    """Simplex on every row of g at once (see response_bounds), from the
+def _best_certificate(atoms, coef, basis, signs, band, tol):
+    """Simplex on every row of coef at once (see response_bounds), from the
     (rows, k) arrays of basis atoms and their band signs, which it pivots in
-    place, so that they end on each row's last basis; returns, per row, the
-    best over the pivots of min(g - s u - c w) - |c| band.  Moves the rows
-    still pivoting to the top of g."""
-    best = np.full(g.shape[0], -np.inf)
-    at = np.arange(g.shape[0])  # the row of best each row of g belongs to
-    k = basis.shape[1]
-    live = np.ones(at.size, dtype=bool)
-    last_basis, last_signs = basis, signs
+    place; returns, per row, the best over the pivots of
+    min(g - s u - c w) - |c| band.  atoms is the (2m + k - 1, N) block
+    [Re 1/(lambda - z_k); Im 1/(lambda - z_k); u; w] (no w row for k = 2),
+    and a row's last k - 1 columns of coef are free: with -s and -c written
+    there, coef @ atoms is the reduced cost g - s u - c w.  The live rows are
+    priced _PRICE_BYTES of reduced costs at a time, and each block's minima
+    are taken while it is in cache."""
+    k, size = basis.shape[1], atoms.shape[1]
+    # in C order, with copies of the last atom up to a multiple of 16 columns:
+    # a ragged edge or a transposed operand take other OpenBLAS kernels, which
+    # round a row's reduced costs otherwise in some blocks; argmin then reads
+    # whole rows
+    wide = np.empty((atoms.shape[0], size - size % -16))
+    wide[:, :size], wide[:, size:] = atoms, atoms[:, -1:]
+    # an even number of rows per product: numpy hands one row to gemv, and
+    # OpenBLAS's Haswell kernels round a block's odd last row otherwise
+    step = max(_PRICE_BYTES // wide[0].nbytes // 2, 1) * 2
+    buffer = np.empty((min(step, coef.shape[0] + 1), wide.shape[1]))
+    best = np.full(coef.shape[0], -np.inf)
+    live = np.arange(coef.shape[0])  # the rows still pivoting
     for _ in range(_EXCHANGE_PASSES):
-        if live.sum() <= 0.75 * at.size:
-            keep = np.flatnonzero(live)
-            last_basis[at], last_signs[at] = basis, signs
-            for i, j in enumerate(keep):  # in place: g[keep] would be a new array
-                g[i] = g[j]
-            basis, signs, tol, at, live = basis[keep], signs[keep], tol[keep], at[keep], live[keep]
-        rows = np.arange(at.size)
-        matrix = moments[:k, basis].transpose(1, 0, 2)  # a column per basis atom
-        matrix[:, -1] += band * signs
-        y = np.linalg.solve(matrix.transpose(0, 2, 1), g[rows[:, None], basis][..., None])[..., 0]
-        sc = np.zeros((at.size, 2))  # (s, c): a (T, 1) @ (1, N) product is slow
-        sc[:, :k - 1] = y[:, 1:]
-        part = np.subtract(g[:at.size], np.matmul(sc, moments[1:], out=residual[:at.size]),
-                           out=residual[:at.size])
-        enter = part.argmin(axis=1)
-        value = part[rows, enter] - np.abs(sc[:, 1]) * band
-        best[at] = np.maximum(best[at], value)
-        live &= value - y[:, 0] < -tol  # no negative reduced cost: optimal
-        if not live.any():
+        b = basis[live]
+        matrix = np.ones((live.size, k, k))  # a column per basis atom
+        matrix[:, 1:] = atoms[1 - k:, b].transpose(1, 0, 2)
+        matrix[:, -1] += band * signs[live]
+        c = np.zeros((live.size + 1, coef.shape[1]))  # a spare zero row evens the last block
+        c[:-1] = coef[live]
+        g = np.einsum("ri,irj->rj", c[:-1, :1 - k], atoms[:1 - k, b])  # g at the basis
+        y = np.linalg.solve(matrix.transpose(0, 2, 1), g[..., None])[..., 0]
+        c[:-1, 1 - k:] = -y[:, 1:]
+        enter, low = np.empty(live.size, dtype=int), np.empty(live.size)
+        for lo in range(0, live.size, step):
+            rows = min(step, live.size - lo)
+            even = rows + rows % 2
+            part = np.matmul(c[lo:lo + even], wide, out=buffer[:even])[:rows]
+            j = part.argmin(axis=1)
+            low[lo:lo + step] = part[np.arange(len(j)), j]
+            enter[lo:lo + step] = np.minimum(j, size - 1)  # a padding column is the last atom
+        value = low - np.abs(y[:, -1]) * band  # y[:, -1] is c, or s where band = 0
+        best[live] = np.maximum(best[live], value)
+        pivot = value - y[:, 0] < -tol[live]  # no negative reduced cost: optimal
+        if not pivot.any():
             break
-        sign = np.where(sc[:, 1] < 0.0, -1.0, 1.0)  # the band side that lowers the cost
-        column = moments[:k, enter].T
+        sign = np.where(y[:, -1] < 0.0, -1.0, 1.0)  # the band side that lowers the cost
+        column = np.ones((live.size, k))
+        column[:, 1:] = atoms[1 - k:, enter].T
         column[:, -1] += band * sign
         unit = np.broadcast_to(np.eye(k)[0], column.shape)
         x, d = np.linalg.solve(matrix, np.stack([unit, column], axis=2)).transpose(2, 0, 1)
         pos = d > 1e-12 * np.abs(d).max(axis=1, keepdims=True)
         leave = np.where(pos, np.maximum(x, 0.0) / np.where(pos, d, 1.0), np.inf).argmin(axis=1)
-        basis[live, leave[live]], signs[live, leave[live]] = enter[live], sign[live]
-    last_basis[at], last_signs[at] = basis, signs
+        live, at = live[pivot], (live[pivot], leave[pivot])
+        basis[at], signs[at] = enter[pivot], sign[pivot]
     return best
 
 
@@ -303,9 +328,12 @@ def response_bounds(design: SignalDesign, model: SystemModel,
     bounds are the grid extremes of g_t.  Otherwise a simplex solves it for
     all times at once, over a basis of n + 1 atoms (the most an extremal
     measure needs; Karlin & Studden, 1966) with the (b, s, c) that make
-    g_t - b - s u - c w vanish on it.  With M1 known each row starts from
-    the cheaper of Jensen's pair about M1, optimal where the row is convex,
-    and the two ends, optimal where it is concave (Edmundson-Madansky).  With
+    g_t - b - s u - c w vanish on it.  A pass prices a row on the whole grid
+    as one product: its coefficients (Re c_k(t), -Im c_k(t), -s, -c) times
+    the atom block [Re 1/(lambda - z_k); Im 1/(lambda - z_k); u; w], so g_t
+    itself is never stored.  With M1 known each row starts from the cheaper
+    of Jensen's pair about M1, optimal where the row is convex, and the two
+    ends, optimal where it is concave (Edmundson-Madansky).  With
     M2 too, the simplex first runs on every _COARSE_STEP-th atom, Jensen's
     pair and the two ends alone (coarse to fine; Hettich & Kortanek, 1993),
     from the sigma-rounded triple of _starting_basis, a measure on them at
@@ -313,8 +341,9 @@ def response_bounds(design: SignalDesign, model: SystemModel,
     feasible on the full grid and start the simplex there.
     Each pivot enters the atom of least reduced cost, Dantzig's ratio test
     picks the one that leaves, and the best certificate is kept.  An unknown
-    M2 zeroes the row of w.  The upper bound is minus the lower bound of
-    -g_t, whose rows run through the same simplex below those of g_t.  The
+    M2 leaves out the row of w.  The upper bound is minus the lower bound of
+    -g_t, whose rows, the negated coefficients, run through the same simplex
+    below those of g_t.  The
     poles z_k and their distances d_k come from the design.
 
     Returns (lower, upper) arrays aligned with grid.times, including the a0
@@ -337,30 +366,28 @@ def response_bounds(design: SignalDesign, model: SystemModel,
     pad = 2.0 * np.abs(coeffs) @ dists ** -3.0 * h * h / 8.0  # 2 sum |c_k|/d_k^3 >= |g_t''|
     tol = np.tile(1e-15 * np.abs(coeffs) @ (1.0 / dists), 2)  # reduced costs above -tol are 0
     inv = 1.0 / (lam[None, :] - design.poles.array[:, None])
-    # g_t on the grid, a row per time, over -g_t, and a residual buffer of the
-    # same shape
-    steps = grid.times.size
-    g, residual = np.empty((2, 2 * steps, lam.size))
-    np.matmul(np.hstack([coeffs.real, -coeffs.imag]), np.vstack([inv.real, inv.imag]),
-              out=g[:steps])
+    kernel = np.hstack([coeffs.real, -coeffs.imag])  # g_t = kernel @ [Re inv; Im inv]
     if n == 0:  # no multiplier: the bounds are the grid extremes
-        return model.a0 * (g[:steps].min(axis=1) - pad), model.a0 * (g[:steps].max(axis=1) + pad)
-    np.negative(g[:steps], out=g[steps:])
+        g = kernel @ np.vstack([inv.real, inv.imag])
+        return model.a0 * (g.min(axis=1) - pad), model.a0 * (g.max(axis=1) + pad)
     m1, m2 = (*known_moments, 0.0)[:2]
     var, u = m2 - m1 * m1, lam - m1
-    moments = np.stack([np.ones_like(lam), u, (u * u - var) * (n == 2)])
+    atoms = np.vstack([inv.real, inv.imag, u, u * u - var][:2 + n])
+    # a row per time for g_t, then one for -g_t, with a free column per multiplier
+    steps = grid.times.size
+    coef = np.hstack([np.vstack([kernel, -kernel]), np.zeros((2 * steps, n))])
     band = h * h / 4.0 * (n == 2)
     q = min(max(int(np.searchsorted(lam, m1, side="right")), 1), lam.size - 1)
     pair, ends = [q - 1, q], [0, lam.size - 1]  # Jensen's pair p <= M1 < q, or q = M1 = 1
     if n == 1:  # each row starts from the cheaper of Jensen's pair and the two ends
-        cost = [g[:, b] @ np.linalg.solve(moments[:2, b], [1.0, 0.0]) for b in (pair, ends)]
+        cost = [coef[:, :-1] @ atoms[:-1, b] @ np.linalg.solve([[1.0, 1.0], u[b]], [1.0, 0.0])
+                for b in (pair, ends)]
         basis, signs = np.where((cost[1] < cost[0])[:, None], ends, pair), np.ones((2 * steps, 2))
     else:  # the coarse bounds are discarded: only the full grid's hold
         coarse = np.union1d(np.r_[0:lam.size:_COARSE_STEP], pair + ends)
         start, signs = _starting_basis(lam[coarse], np.searchsorted(coarse, q - 1), m1, var, band)
         basis, signs = np.tile(start, (2 * steps, 1)), np.tile(signs, (2 * steps, 1))
-        part = g[:, coarse]
-        _best_certificate(part, moments[:, coarse], basis, signs, band, tol, np.empty_like(part))
+        _best_certificate(atoms[:, coarse], coef, basis, signs, band, tol)
         basis = coarse[basis]
-    best = _best_certificate(g, moments, basis, signs, band, tol, residual)
+    best = _best_certificate(atoms, coef, basis, signs, band, tol)
     return model.a0 * (best[:steps] - pad), model.a0 * (pad - best[steps:])

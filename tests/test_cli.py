@@ -258,13 +258,19 @@ class TestFailureRule:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "bounds"])
-    @pytest.mark.parametrize("change", [
+    @pytest.mark.parametrize("change, why", [
         # Im omega_1 (t - t0) reaches 1500: 53 of 101 rows were written as NaN
-        {"grid": {"t_start": -8.0, "t_end": 1500.0, "steps": 101, "t0": 0.0}},
+        ({"grid": {"t_start": -8.0, "t_end": 1500.0, "steps": 101, "t0": 0.0}},
+         "Im omega_k (t - t0) above about 709"),
         # Im omega_4 (t - t0) reaches 800 at t = 2 on the bundled grid
-        {"frequencies": FIG4["frequencies"] + [[2.0, 400.0]]},
-    ], ids=["long_grid", "fourth_frequency"])
-    def test_overflowing_phase_exits_3(self, tmp_path, capsys, command, change):
+        ({"frequencies": FIG4["frequencies"] + [[2.0, 400.0]]},
+         "Im omega_k (t - t0) above about 709"),
+        # omega_4 (t - t0) reaches 1e400: the product itself overflowed
+        ({"frequencies": FIG4["frequencies"] + [[1e200, 0.0]],
+          "grid": {"t_start": -1e200, "t_end": 0.0, "steps": 101, "t0": 0.0}},
+         "omega_k (t - t0) past the float range"),
+    ], ids=["long_grid", "fourth_frequency", "product"])
+    def test_overflowing_phase_exits_3(self, tmp_path, capsys, command, change, why):
         obj = dict(FIG4, **change)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -272,8 +278,7 @@ class TestFailureRule:
         # one line, with no numpy warning ahead of it
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err.splitlines() == [
-            "numeric error: exp(-i omega_k (t - t0)) overflows on this grid "
-            "(Im omega_k (t - t0) above about 709)"]
+            f"numeric error: exp(-i omega_k (t - t0)) overflows on this grid ({why})"]
         assert not list(tmp_path.rglob("*.csv"))
 
     @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +50,13 @@ def scenario_parts(scenario):
     omegas = cli.parse_frequencies(scenario)
     design = cli.build_design(scenario, model, omegas)
     return model, omegas, design, cli.build_grid(scenario)
+
+
+def ellipse_omegas(m):
+    """Frequencies that the lossy-dielectric map z = 2 + i/omega sends to m
+    points of the ellipse 1.9 cos + 0.9i sin."""
+    phi = 2.0 * np.pi * np.arange(m) / m + 0.1
+    return 1j / (1.9 * np.cos(phi) + 0.9j * np.sin(phi) - 2.0)
 
 
 def integrand(design, omegas, theta, times, t0, atoms=ATOMS):
@@ -306,12 +317,25 @@ class TestSynthesisAndSimulation:
             with pytest.raises(OverflowError, match="above about 709"):
                 response._phases(omegas, np.array([0.0, late]), t0)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
     def test_infinite_phase_angle_raises(self):
         # omega (t - t0) = 1e400: the phase has modulus 1, but its angle is
-        # infinite and exp would return NaN; refused like a modulus overflow
-        with pytest.raises(OverflowError, match="exp"):
+        # infinite and exp would return NaN; refused before the product
+        # overflows, so numpy warns of nothing (pytest turns a warning into
+        # an error)
+        with pytest.raises(OverflowError, match="past the float range"):
             response._phases(np.array([1e200]), np.array([-1e200, 0.0]), 0.0)
+
+    def test_phase_product_bound_is_exact(self):
+        # the largest |Re or Im omega| times the largest |t - t0| may reach
+        # DBL_MAX; the next float up overflows.  Accepted inputs give the
+        # phases of the unguarded formula, bit for bit
+        top = np.finfo(float).max
+        for omegas in (np.array([top / 2.0, -1.0]), np.array([-1.0, 1j * top / 2.0])):
+            times = np.array([-2.0, 0.0])
+            assert np.array_equal(response._phases(omegas, times, 0.0),
+                                  np.exp(-1j * omegas[:, None] * times[None, :]))
+            with pytest.raises(OverflowError, match="past the float range"):
+                response._phases(omegas, np.array([np.nextafter(-2.0, -np.inf), 0.0]), 0.0)
 
     @pytest.mark.parametrize("call", [
         lambda design, model, grid: synthesize_input(design, model, OMEGAS, grid),
@@ -588,7 +612,8 @@ class TestResponseBounds:
         model, omegas, design, grid = scenario_setup(name)
         sizes, solve = [], response._best_certificate
         monkeypatch.setattr(response, "_best_certificate",
-                            lambda g, *rest: sizes.append(g.shape[1]) or solve(g, *rest))
+                            lambda atoms, *rest: sizes.append(atoms.shape[1])
+                            or solve(atoms, *rest))
         assert_warm_start_matches_cold(model, design, omegas, known, theta, grid)
         assert 257 <= sizes[0] <= 259 and sizes[1:] == [ATOMS.size] * 3
 
@@ -708,12 +733,61 @@ class TestResponseBounds:
         assert np.any(lower < full[0] - tol) or np.any(upper > full[1] + tol)
 
     @pytest.mark.parametrize("known", [[0.4], [0.4, 0.3]])
+    @pytest.mark.parametrize("m", [12, 24, 48])
+    def test_bounds_are_exact_for_many_ellipse_poles(self, m, known):
+        # unit designs on m poles of the ellipse: each pass prices the
+        # 2m + n rows of the kernel block, up to 98 at m = 48
+        omegas = ellipse_omegas(m)
+        model = SystemModel.lossy_dielectric(0.6)
+        design = design_unit(PoleSet(points=tuple(model_z(model, w) for w in omegas)))
+        grid = TimeGrid(t_start=-2.0, t_end=1.0, steps=7, t0=0.0)
+        atoms = np.linspace(-1.0, 1.0, 65)
+        if len(known) == 1:
+            assert_one_moment_bounds_exact(model, design, omegas, known[0], 0.0, grid, atoms)
+        else:
+            assert_two_moment_bounds_exact(model, design, omegas, known, 0.0, grid, atoms)
+
+    def test_pricing_blocks_leave_the_bounds_unchanged(self):
+        # rows are priced _PRICE_BYTES of reduced costs at a time; one byte
+        # gives two-row blocks (the fewest) and 2**40 one block of every row.
+        # Padded to whole kernel tiles, with an even row count, each reduced
+        # cost rounds the same in any block on one BLAS thread, so the
+        # envelopes agree bit for bit.  A threaded product is split where a
+        # block's size says, and OpenBLAS's Haswell kernels then round some
+        # rows otherwise, so the check runs in a one-thread interpreter
+        script = textwrap.dedent(f"""
+            import numpy as np
+            from markovdesign import cli, response
+            bad = []
+            for name in ["fig3_visco", "fig4_dielectric", "fig5_plasma", "fig6_freq_target"]:
+                scenario = cli.load_scenario({str(SCENARIO_DIR)!r} + f"/{{name}}.json")
+                model, omegas = cli.build_model(scenario), cli.parse_frequencies(scenario)
+                design = cli.build_design(scenario, model, omegas)
+                grid = cli.build_grid(scenario)
+                for known in ([0.4], [0.4, 0.3]):
+                    envelopes = []
+                    for size in (1 << 20, 1, 1 << 40):
+                        response._PRICE_BYTES = size
+                        envelopes.append(np.stack(response.response_bounds(
+                            design, model, omegas, known, 0.0, grid)))
+                    if not all(np.array_equal(e, envelopes[0]) for e in envelopes[1:]):
+                        bad.append((name, known))
+            assert not bad, bad
+        """)
+        src = str(Path(response.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1", PYTHONWARNINGS="ignore::UserWarning",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+
+    @pytest.mark.parametrize("known", [[0.4], [0.4, 0.3]])
     def test_bounds_enclose_measures_for_48_ellipse_poles(self, known):
         # 48 poles on the ellipse 1.9 cos + 0.9i sin through the
         # lossy-dielectric map, with a moments(8) design: sum_k |c_k|/d_k
         # reaches 1e13, so float64 sums carry errors of about 1e-15 of it
-        phi = 2.0 * np.pi * np.arange(48) / 48 + 0.1
-        omegas = 1j / (1.9 * np.cos(phi) + 0.9j * np.sin(phi) - 2.0)
+        omegas = ellipse_omegas(48)
         model, omegas, design, grid = scenario_parts({
             "model": {"kind": "lossy_dielectric", "a0": 0.6},
             "frequencies": [[w.real, w.imag] for w in omegas],
