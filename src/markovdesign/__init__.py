@@ -10,7 +10,6 @@ from .design import (
     design_moments,
     design_unit,
     design_with_zero_factor,
-    stieltjes_coefficients,
     verify_sup,
 )
 from .geometry import RegionSpec, in_region_H, joukowski_radius, segment_distance
@@ -35,13 +34,11 @@ from .polynomial import (
     monic_cheb,
     monic_from_roots,
     poly_divmod,
-    poly_eval,
 )
 from .response import (
     MaxwellPhase,
     SystemModel,
     TimeGrid,
-    crest_ratio,
     model_z,
     response_bounds,
     simulate_response,
@@ -57,7 +54,6 @@ __all__ = [
     "design_frequency_target",
     "design_derivative_target",
     "design_with_zero_factor",
-    "stieltjes_coefficients",
     "verify_sup",
     "RegionSpec",
     "in_region_H",
@@ -79,11 +75,9 @@ __all__ = [
     "monic_cheb",
     "monic_from_roots",
     "poly_divmod",
-    "poly_eval",
     "MaxwellPhase",
     "SystemModel",
     "TimeGrid",
-    "crest_ratio",
     "model_z",
     "response_bounds",
     "simulate_response",

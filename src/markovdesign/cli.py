@@ -152,15 +152,15 @@ def build_poles(model: rz.SystemModel, omegas: np.ndarray) -> dz.PoleSet:
 
 
 def build_design(scenario: dict, model: rz.SystemModel, omegas: np.ndarray,
-                 grid_size=dz.SUP_GRID_SIZE) -> dz.SignalDesign:
+                 scan: bool = True) -> dz.SignalDesign:
     spec = _object(scenario.get("design", {"mode": dz.MODE_UNIT}), "design")
     mode = spec.get("mode", dz.MODE_UNIT)
     poles = build_poles(model, omegas)
     if mode == dz.MODE_UNIT:
-        return dz.design_unit(poles, grid_size)
+        return dz.design_unit(poles, scan)
     if mode == dz.MODE_MOMENTS:
         n = _integer(spec.get("n", 1), "design.n", 0, dz.DEGREE_CAP - poles.m)
-        return dz.design_moments(poles, n, grid_size)
+        return dz.design_moments(poles, n, scan)
     if mode in (dz.MODE_FREQUENCY_TARGET, dz.MODE_DERIVATIVE_TARGET):
         if "z0" in spec:
             z0 = _as_complex(spec["z0"], "design.z0")
@@ -170,14 +170,14 @@ def build_design(scenario: dict, model: rz.SystemModel, omegas: np.ndarray,
             raise ScenarioError("design", "target modes need z0 or omega0")
         builder = (dz.design_frequency_target if mode == dz.MODE_FREQUENCY_TARGET
                    else dz.design_derivative_target)
-        return builder(poles, z0, grid_size)
+        return builder(poles, z0, scan)
     if mode == dz.MODE_ZERO_FACTOR:
         coeffs = _require(spec, "coeffs", "design")
         if not isinstance(coeffs, list) or not coeffs:
             raise ScenarioError("design.coeffs", "must be a nonempty coefficient list")
         s = tuple(_as_complex(c, f"design.coeffs[{i}]") for i, c in enumerate(coeffs))
         with _field("design.coeffs"):  # not monic, or of degree m or more
-            return dz.design_with_zero_factor(poles, ComplexPolynomial(s), grid_size)
+            return dz.design_with_zero_factor(poles, ComplexPolynomial(s), scan)
     raise ScenarioError("design.mode", f"unknown mode {mode!r}")
 
 
@@ -294,10 +294,10 @@ def _stress_deviations(design: dz.SignalDesign, atoms: np.ndarray,
     return np.hypot(*(weights * np.reshape(error, (2,) + atoms.shape)).sum(axis=-1))
 
 
-def _designed(scenario: dict, grid_size=dz.SUP_GRID_SIZE):
-    """The scenario's model, frequencies and design, measured on grid_size (None: not)."""
+def _designed(scenario: dict, scan: bool = True):
+    """The scenario's model, frequencies and design, its sup measured if scan."""
     model, omegas = build_model(scenario), parse_frequencies(scenario)
-    return model, omegas, build_design(scenario, model, omegas, grid_size)
+    return model, omegas, build_design(scenario, model, omegas, scan)
 
 
 def _require_certified(path: Path, design: dz.SignalDesign, *flags: bool):
@@ -305,16 +305,16 @@ def _require_certified(path: Path, design: dz.SignalDesign, *flags: bool):
         raise CertificateViolation(f"{path}: the certificate epsilon does not hold")
 
 
-def cmd_design(scenario: dict, out_dir: Path, seed: int, grid_size) -> Path:
-    design = _designed(scenario, grid_size)[2]
+def cmd_design(scenario: dict, out_dir: Path, seed: int) -> Path:
+    design = _designed(scenario)[2]
     path = out_dir / "design.json"
     write_json(path, design_report(design))
     _require_certified(path, design)
     return path
 
 
-def cmd_verify(scenario: dict, out_dir: Path, seed: int, grid_size) -> Path:
-    design = _designed(scenario, grid_size)[2]
+def cmd_verify(scenario: dict, out_dir: Path, seed: int) -> Path:
+    design = _designed(scenario)[2]
     stress = _object(scenario.get("stress", {}), "stress")
     measure_count = _integer(stress.get("measure_count", 1000), "stress.measure_count", 1)
     op_dim = _integer(stress.get("operator_dim", 8), "stress.operator_dim", 1, oz.DIM_CAP)
@@ -347,8 +347,8 @@ def cmd_verify(scenario: dict, out_dir: Path, seed: int, grid_size) -> Path:
     return path
 
 
-def cmd_simulate(scenario: dict, out_dir: Path, seed: int, grid_size) -> Path:
-    model, omegas, design = _designed(scenario, None)  # writes no epsilon_observed
+def cmd_simulate(scenario: dict, out_dir: Path, seed: int) -> Path:
+    model, omegas, design = _designed(scenario, scan=False)  # writes no epsilon_observed
     mu = build_measure(scenario)
     grid = build_grid(scenario)
     u = rz.synthesize_input(design, model, omegas, grid)
@@ -365,8 +365,8 @@ def cmd_simulate(scenario: dict, out_dir: Path, seed: int, grid_size) -> Path:
     return path
 
 
-def cmd_bounds(scenario: dict, out_dir: Path, seed: int, grid_size):
-    model, omegas, design = _designed(scenario, None)  # writes no epsilon_observed
+def cmd_bounds(scenario: dict, out_dir: Path, seed: int):
+    model, omegas, design = _designed(scenario, scan=False)  # writes no epsilon_observed
     grid = build_grid(scenario)
     envelopes, paths = {}, []  # cases differing only in a0_known share an envelope
     for case in _moment_cases(scenario):
@@ -384,7 +384,7 @@ def cmd_bounds(scenario: dict, out_dir: Path, seed: int, grid_size):
     return paths
 
 
-def cmd_region(scenario: dict, out_dir: Path, seed: int, grid_size) -> Path:
+def cmd_region(scenario: dict, out_dir: Path, seed: int) -> Path:
     spec = _require(scenario, "region", "")
     z0 = _as_complex(_require(spec, "z0", "region"), "region.z0")
     r = _real(spec.get("r", 1.0), "region.r")
@@ -420,8 +420,6 @@ PARSER.add_argument("command", choices=sorted(COMMANDS))
 PARSER.add_argument("--scenario", required=True, help="scenario JSON path")
 PARSER.add_argument("--out", default=".", help="output directory")
 PARSER.add_argument("--seed", type=int, default=None, help="override scenario seed")
-PARSER.add_argument("--grid-size", type=int, default=dz.SUP_GRID_SIZE,
-                    help="sup grid of design and verify: moves epsilon_observed, not epsilon")
 
 
 def main(argv=None) -> int:
@@ -431,9 +429,7 @@ def main(argv=None) -> int:
         scenario = load_scenario(args.scenario)
         seed = _integer(args.seed if args.seed is not None else scenario.get("seed", 0),
                         "seed", 0)
-        if args.grid_size < 8:
-            raise ScenarioError("grid-size", "must be at least 8")
-        result = COMMANDS[args.command](scenario, Path(args.out), seed, args.grid_size)
+        result = COMMANDS[args.command](scenario, Path(args.out), seed)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

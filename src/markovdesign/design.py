@@ -19,17 +19,16 @@ moments designs have closed forms (2/(2 d_min)**m and relatives), and the
 target and zero-factor designs pad values on the Chebyshev-Lobatto grid in
 closed form, so that min |q| is bounded from below and sup |N| from above on
 all of [-1,1].  The measured bound ``epsilon_observed`` comes from the same
-kind of grid, zoomed in around its argmax by repeated finer scans until the
+grid, zoomed in around its argmax by repeated finer scans until the
 bracket spans less than 2**-26 min(1, d), d the least distance of the poles
 (and z0) to [-1,1]: sqrt(u) of the length on which the deviation varies, past
 which a smooth maximum moves only in its rounding.
 
-Certificates read one fixed 4,096-node grid (``SUP_GRID_SIZE``).  Constructors
-measure ``epsilon_observed`` (never ``epsilon``) on ``grid_size`` nodes, that grid
-by default; ``None`` leaves it NaN, which ``certifies`` never accepts.
-One real kernel evaluates the error on a table of squared distances
-|lambda - z_k|**2; scans call it in chunks of ``_SCAN_CHUNK`` nodes so that
-their memory does not grow with ``grid_size``.
+Certificates and the sup scan read one fixed 4,096-node grid
+(``SUP_GRID_SIZE``).  Constructors measure ``epsilon_observed`` (never
+``epsilon``) on it; ``scan=False`` leaves it NaN, which ``certifies`` never
+accepts.  One real kernel evaluates the error on a table of squared distances
+|lambda - z_k|**2.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from .polynomial import (
 
 MAX_POLES = 48
 SUP_GRID_SIZE = 4096
-_SCAN_CHUNK = 4096  # grid nodes per table of a sup scan, whatever its grid_size
 # a zoom level rescans its bracket at these 65 fractions (i/64, exact)
 _ZOOM = np.linspace(0.0, 1.0, 65)
 _ZOOM.flags.writeable = False
@@ -208,17 +206,17 @@ def _error_kernel(design: SignalDesign):
     return kernel
 
 
-def _lobatto_grid(n: int, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
-    """Nodes start..stop-1 of the n Chebyshev-Lobatto nodes on [-1,1], ascending."""
-    k = np.arange(start, n if stop is None else min(stop, n))
+def _lobatto_grid(n: int) -> np.ndarray:
+    """The n Chebyshev-Lobatto nodes on [-1,1], ascending."""
+    k = np.arange(n)
     return np.cos(np.pi * (n - 1 - k) / (n - 1))
 
 
-def sup_deviation(design: SignalDesign, grid_size: int = SUP_GRID_SIZE):
+def sup_deviation(design: SignalDesign):
     """Worst deviation |R(lambda) - target(lambda)| on [-1,1].
 
-    Scans a Chebyshev-Lobatto grid, then zooms: the two cells around the
-    argmax are rescanned at 65 points until they span less than
+    Scans the 4,096-node certificate grid once, then zooms: the two cells
+    around the argmax are rescanned at 65 points until they span less than
     2**-26 min(1, d), d the least distance to [-1,1] of the poles and of z0
     (but not below 2**-46, where the 65 points would repeat).  The deviation
     varies on a length of order min(1, d), and near a smooth maximum
@@ -229,24 +227,11 @@ def sup_deviation(design: SignalDesign, grid_size: int = SUP_GRID_SIZE):
     Returns (lambda_star, value) for the best point evaluated, so the value
     is never below the grid maximum.
     """
-    if grid_size < 2:
-        raise ValueError("grid_size must be at least 2")
-
-    def nodes(start, stop):
-        if grid_size == SUP_GRID_SIZE:
-            return _CERTIFICATE_GRID[start:stop]
-        return _lobatto_grid(grid_size, start, stop)
-
     error = _error_kernel(design)
-    # the first argmax of the whole grid: the first one in the first chunk
-    # that holds the largest chunk maximum
-    firsts = []
-    for start in range(0, grid_size, _SCAN_CHUNK):
-        vals = np.hypot(*error(nodes(start, start + _SCAN_CHUNK)))
-        firsts.append((start + int(np.argmax(vals)), vals.max()))
-    i, best_v = firsts[int(np.argmax([v for _, v in firsts]))]
-    best_x, best_v = float(nodes(i, i + 1)[0]), float(best_v)
-    lo, hi = nodes(max(i - 1, 0), i + 2)[[0, -1]]
+    vals = np.hypot(*error(_CERTIFICATE_GRID))
+    i = int(np.argmax(vals))
+    best_x, best_v = float(_CERTIFICATE_GRID[i]), float(vals[i])
+    lo, hi = _CERTIFICATE_GRID[[max(i - 1, 0), min(i + 1, SUP_GRID_SIZE - 1)]]
     d = design.poles.d_min
     if design.z0 is not None:
         d = min(d, segment_distance(design.z0))
@@ -261,10 +246,10 @@ def sup_deviation(design: SignalDesign, grid_size: int = SUP_GRID_SIZE):
     return best_x, best_v
 
 
-def verify_sup(design: SignalDesign, grid_size: int = SUP_GRID_SIZE) -> float:
-    """Measured sup-norm deviation; stores it in design.epsilon_observed and
-    its argmax in design.lambda_star."""
-    design.lambda_star, design.epsilon_observed = sup_deviation(design, grid_size)
+def verify_sup(design: SignalDesign) -> float:
+    """Measured sup-norm deviation (``sup_deviation``); stores it in
+    design.epsilon_observed and its argmax in design.lambda_star."""
+    design.lambda_star, design.epsilon_observed = sup_deviation(design)
     return design.epsilon_observed
 
 
@@ -303,18 +288,18 @@ def _check_convergent(poles: PoleSet) -> bool:
     return True
 
 
-def _design(mode: str, poles: PoleSet, numerator_at_poles: np.ndarray, grid_size,
+def _design(mode: str, poles: PoleSet, numerator_at_poles: np.ndarray, scan,
             **fields) -> SignalDesign:
-    """The one residue formula alpha_k = N(z_k)/q'(z_k), then verify_sup on grid_size."""
+    """The one residue formula alpha_k = N(z_k)/q'(z_k), then verify_sup if scan."""
     design = SignalDesign(mode=mode, poles=poles,
                           alphas=numerator_at_poles / poles.off_diagonal_products(),
                           **fields)
-    if grid_size is not None:
-        verify_sup(design, grid_size)
+    if scan:
+        verify_sup(design)
     return design
 
 
-def _moment_design(mode: str, poles: PoleSet, n: int, convergent: bool, grid_size) -> SignalDesign:
+def _moment_design(mode: str, poles: PoleSet, n: int, convergent: bool, scan) -> SignalDesign:
     """N = -T_{m+n}/2**(m+n-1): since q(z_k) = 0, the remainder of monic
     T_{m+n} modulo q takes the same values at the nodes, and the quotient
     term drops out.  The quotient of that Euclidean division is the (monic,
@@ -332,26 +317,26 @@ def _moment_design(mode: str, poles: PoleSet, n: int, convergent: bool, grid_siz
     else:
         gammas = poly_divmod(monic_cheb(m + n), poles.q())[0].array
     return _design(
-        mode, poles, -cheb_eval(m + n, poles.array) / 2.0 ** (m + n - 1), grid_size,
+        mode, poles, -cheb_eval(m + n, poles.array) / 2.0 ** (m + n - 1), scan,
         epsilon=epsilon,
         gammas=gammas,
         convergent=convergent,
     )
 
 
-def design_unit(poles: PoleSet, grid_size=SUP_GRID_SIZE) -> SignalDesign:
+def design_unit(poles: PoleSet, scan: bool = True) -> SignalDesign:
     """Residues making sum alpha_k/(lambda - z_k) approximate 1 on [-1,1]: the
     moments design at n = 0, N = -T_m/2**(m-1) and epsilon = 2/(2 d_min)**m."""
-    return _moment_design(MODE_UNIT, poles, 0, _check_convergent(poles), grid_size)
+    return _moment_design(MODE_UNIT, poles, 0, _check_convergent(poles), scan)
 
 
-def design_moments(poles: PoleSet, n: int, grid_size=SUP_GRID_SIZE) -> SignalDesign:
+def design_moments(poles: PoleSet, n: int, scan: bool = True) -> SignalDesign:
     """Design approximating the degree-n moment polynomial sum gamma_l lambda**l."""
     if n < 0:
         raise DesignError("moment count n must be nonnegative")
     if poles.m + n > DEGREE_CAP:
         raise DesignError(f"m + n = {poles.m + n} exceeds the degree cap {DEGREE_CAP}")
-    return _moment_design(MODE_MOMENTS, poles, n, _check_convergent(poles), grid_size)
+    return _moment_design(MODE_MOMENTS, poles, n, _check_convergent(poles), scan)
 
 
 def _validate_target_point(poles: PoleSet, z0: complex) -> complex:
@@ -371,7 +356,7 @@ def _region_diagnostics(poles: PoleSet, z0: complex) -> dict:
     return dict(enumerate(in_region_H(poles.array, RegionSpec(z0=z0, r=1.0)).tolist()))
 
 
-def _target_design(mode: str, poles: PoleSet, z0: complex, power: int, grid_size) -> SignalDesign:
+def _target_design(mode: str, poles: PoleSet, z0: complex, power: int, scan) -> SignalDesign:
     """Target designs: b_m = q(z0)/T_{m-1}(z0) makes q - b_m T_{m-1} vanish
     at z0, N = -b_m T_{m-1}/(lambda - z0)**power, and the certificate is
     |b_m| / (d0**power * min |q|), with min |q| bounded from grid values."""
@@ -386,7 +371,7 @@ def _target_design(mode: str, poles: PoleSet, z0: complex, power: int, grid_size
     alpha0 = (np.sum(1.0 / (z0 - z)) - cheb_eval_deriv(m - 1, z0) / t_at_z0
               if power == 2 else None)
     return _design(
-        mode, poles, -b_m * cheb_eval(m - 1, z) / (z - z0) ** power, grid_size,
+        mode, poles, -b_m * cheb_eval(m - 1, z) / (z - z0) ** power, scan,
         epsilon=abs(b_m) / (segment_distance(z0) ** power * _min_abs_q(poles)),
         alpha0=alpha0,
         b_m=b_m,
@@ -395,17 +380,17 @@ def _target_design(mode: str, poles: PoleSet, z0: complex, power: int, grid_size
     )
 
 
-def design_frequency_target(poles: PoleSet, z0: complex, grid_size=SUP_GRID_SIZE) -> SignalDesign:
+def design_frequency_target(poles: PoleSet, z0: complex, scan: bool = True) -> SignalDesign:
     """Design approximating the resolvent kernel 1/(lambda - z0).
 
     N = -b_m T_{m-1}/(lambda - z0) with b_m = q(z0)/T_{m-1}(z0); the
     certificate is |b_m| / (d0 * min |q| on [-1,1]), with min |q| bounded
     from below by Lipschitz padding of its values on the Lobatto grid.
     """
-    return _target_design(MODE_FREQUENCY_TARGET, poles, z0, 1, grid_size)
+    return _target_design(MODE_FREQUENCY_TARGET, poles, z0, 1, scan)
 
 
-def design_derivative_target(poles: PoleSet, z0: complex, grid_size=SUP_GRID_SIZE) -> SignalDesign:
+def design_derivative_target(poles: PoleSet, z0: complex, scan: bool = True) -> SignalDesign:
     """Design approximating d/dz of the resolvent kernel at z0.
 
     The double-root construction forces both the value and the derivative of
@@ -415,11 +400,11 @@ def design_derivative_target(poles: PoleSet, z0: complex, grid_size=SUP_GRID_SIZ
     1/(lambda - z0)**2 - alpha0/(lambda - z0) and the certificate is
     |b_m| / (d0**2 * min |q|), with min |q| padded as for the frequency target.
     """
-    return _target_design(MODE_DERIVATIVE_TARGET, poles, z0, 2, grid_size)
+    return _target_design(MODE_DERIVATIVE_TARGET, poles, z0, 2, scan)
 
 
 def design_with_zero_factor(poles: PoleSet, s: ComplexPolynomial,
-                            grid_size=SUP_GRID_SIZE) -> SignalDesign:
+                            scan: bool = True) -> SignalDesign:
     """Unit design with T_m replaced by s(lambda) T_{m-M}(lambda).
 
     N = -s T_{m-M}/2**(m-M-1).  The prescribed monic factor s (degree M < m)
@@ -445,24 +430,9 @@ def design_with_zero_factor(poles: PoleSet, s: ComplexPolynomial,
     grid = _CERTIFICATE_GRID
     sup_numerator = np.max(np.abs(numerator(grid))) / np.cos(m * np.pi / (2 * (grid.size - 1)))
     return _design(
-        MODE_ZERO_FACTOR, poles, -numerator(poles.array), grid_size,
+        MODE_ZERO_FACTOR, poles, -numerator(poles.array), scan,
         epsilon=float(sup_numerator / _min_abs_q(poles)),
         gammas=np.array([1.0 + 0.0j]),
         convergent=_check_convergent(poles),
     )
 
-
-def stieltjes_coefficients(design: SignalDesign) -> np.ndarray:
-    """Coefficients xi_k for the Stieltjes-normalized form of target designs.
-
-    xi_k = alpha_k (1 - z0)/(1 - z_k), z0 the design's target point; PoleSet
-    keeps every z_k off [-1,1], so 1 - z_k never vanishes.  In derivative mode
-    the extra coefficient xi_0 = alpha0 - 1/(1 - z0) is prepended.
-    """
-    if design.mode not in (MODE_FREQUENCY_TARGET, MODE_DERIVATIVE_TARGET):
-        raise DesignError("stieltjes coefficients require a target-mode design")
-    z0 = design.z0
-    xi = design.alphas * (1.0 - z0) / (1.0 - design.poles.array)
-    if design.mode == MODE_DERIVATIVE_TARGET:
-        xi = np.concatenate([[design.alpha0 - 1.0 / (1.0 - z0)], xi])
-    return xi

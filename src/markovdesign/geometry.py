@@ -1,4 +1,4 @@
-"""Segment geometry, the inverse Joukowski map, and the admissible pole
+"""Segment geometry, the Joukowski radius, and the admissible pole
 regions H(r) that govern convergence of frequency-target designs."""
 
 from __future__ import annotations
@@ -24,23 +24,16 @@ def segment_distance(z):
 
 
 def joukowski_radius(z0) -> float:
-    """Radius R = |zeta0| > 1 with z0 = (zeta0 + 1/zeta0)/2."""
-    return abs(joukowski_preimage(z0))
+    """Radius R = |zeta0| > 1 with z0 = (zeta0 + 1/zeta0)/2.
 
-
-def joukowski_preimage(z0) -> complex:
-    """The preimage zeta0 with |zeta0| > 1.
-
-    The two candidates z0 +/- sqrt(z0**2 - 1) are reciprocal; the one with
-    larger modulus is the exterior preimage, so no branch-cut bookkeeping is
-    needed.
+    The two preimages z0 +/- sqrt(z0**2 - 1) are reciprocal, so R is the
+    larger of their moduli, and no branch cut needs bookkeeping.
     """
     z0 = complex(z0)
     if segment_distance(z0) <= ON_SEGMENT_TOL:
         raise DegeneratePointError(f"{z0} lies on [-1,1]")
     w = complex(np.sqrt(complex(z0 * z0 - 1.0)))
-    plus, minus = z0 + w, z0 - w
-    return plus if abs(plus) >= abs(minus) else minus
+    return max(abs(z0 + w), abs(z0 - w))
 
 
 @dataclass(frozen=True)

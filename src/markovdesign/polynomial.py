@@ -55,7 +55,10 @@ class ComplexPolynomial:
         return abs(lead - 1.0) <= 1e-12 * max(1.0, abs(lead))
 
     def __call__(self, z):
-        return poly_eval(self, z)
+        """Horner evaluation at z (scalar or array)."""
+        z = np.asarray(z, dtype=complex)
+        out = nppoly.polyval(z, self.array)
+        return out[()] if z.ndim == 0 else out
 
 
 def _check_degree(m: int):
@@ -108,13 +111,6 @@ def monic_from_roots(roots) -> ComplexPolynomial:
             paired[0] = np.convolve(paired[0], factors[-1])
         factors = paired
     return ComplexPolynomial(tuple(factors[0]))
-
-
-def poly_eval(p: ComplexPolynomial, z):
-    """Horner evaluation of p at z (scalar or array)."""
-    z = np.asarray(z, dtype=complex)
-    out = nppoly.polyval(z, p.array)
-    return out[()] if z.ndim == 0 else out
 
 
 def poly_divmod(a: ComplexPolynomial, b: ComplexPolynomial):

@@ -193,27 +193,6 @@ def single_frequency_response(model: SystemModel, omega0: complex,
     return model.a0 * f0 * _phases(np.array([complex(omega0)]), grid.times, grid.t0)[0]
 
 
-def crest_ratio(design: SignalDesign, omegas: Sequence[complex], grid: TimeGrid,
-                reference_mu: DiscreteMeasure, real_part_only: bool = False) -> float:
-    """max over grid times t <= t0 of |v(t)| / |v(t0)| for a reference measure,
-    z_k the design's poles.
-
-    With real_part_only the ratio is taken on Re[v] instead (conjugate-paired
-    designs).
-    """
-    omegas = _design_omegas(design, omegas)
-    weights = design.alphas * markov_eval(reference_mu, design.poles.array)
-    times = grid.times
-    # TimeGrid keeps t_start <= t0, so some grid time is at or before t0
-    series = weights @ _phases(omegas, times[times <= grid.t0], grid.t0)
-    at_t0 = complex(weights.sum())
-    if real_part_only:
-        series, at_t0 = series.real, at_t0.real
-    if at_t0 == 0:
-        raise ZeroDivisionError("response vanishes at t0")
-    return float(np.abs(series).max() / abs(at_t0))
-
-
 def _check_moment_feasibility(known_moments: Sequence[float]):
     n = len(known_moments)
     if n > 2:
@@ -246,6 +225,33 @@ def _starting_basis(lam, p, m1, var, band):
     return ([a, p, q] if v <= uq * (m1 - lam[a]) else [a, q, c]), [1.0] * 3
 
 
+def _products(atoms, count):
+    """rows -> (lo, rows[lo:lo + b] @ atoms) for consecutive blocks of about
+    _PRICE_BYTES of products, for a (K, N) atom block and at most count rows:
+    the caller reduces each block in cache, before the next overwrites it.
+    Columns past N repeat the last atom."""
+    size = atoms.shape[1]
+    # in C order, with copies of the last atom up to a multiple of 16 columns:
+    # a ragged edge or a transposed operand take other OpenBLAS kernels, which
+    # round a row's products otherwise in some blocks (and on more threads);
+    # a reduction then reads whole rows
+    wide = np.empty((atoms.shape[0], size - size % -16))
+    wide[:, :size], wide[:, size:] = atoms, atoms[:, -1:]
+    # an even number of rows per product: numpy hands one row to gemv, and
+    # OpenBLAS's Haswell kernels round a block's odd last row otherwise
+    step = max(_PRICE_BYTES // wide[0].nbytes // 2, 1) * 2
+    buffer = np.empty((min(step, count + count % 2), wide.shape[1]))
+
+    def blocks(rows):
+        even = np.zeros((len(rows) + len(rows) % 2, rows.shape[1]))  # a zero row evens the end
+        even[:len(rows)] = rows
+        for lo in range(0, len(rows), step):
+            block = even[lo:lo + step]
+            yield lo, np.matmul(block, wide, out=buffer[:len(block)])[:len(rows) - lo]
+
+    return blocks
+
+
 def _best_certificate(atoms, coef, basis, signs, band, tol):
     """Simplex on every row of coef at once (see response_bounds), from the
     (rows, k) arrays of basis atoms and their band signs, which it pivots in
@@ -253,20 +259,8 @@ def _best_certificate(atoms, coef, basis, signs, band, tol):
     min(g - s u - c w) - |c| band.  atoms is the (2m + k - 1, N) block
     [Re 1/(lambda - z_k); Im 1/(lambda - z_k); u; w] (no w row for k = 2),
     and a row's last k - 1 columns of coef are free: with -s and -c written
-    there, coef @ atoms is the reduced cost g - s u - c w.  The live rows are
-    priced _PRICE_BYTES of reduced costs at a time, and each block's minima
-    are taken while it is in cache."""
-    k, size = basis.shape[1], atoms.shape[1]
-    # in C order, with copies of the last atom up to a multiple of 16 columns:
-    # a ragged edge or a transposed operand take other OpenBLAS kernels, which
-    # round a row's reduced costs otherwise in some blocks; argmin then reads
-    # whole rows
-    wide = np.empty((atoms.shape[0], size - size % -16))
-    wide[:, :size], wide[:, size:] = atoms, atoms[:, -1:]
-    # an even number of rows per product: numpy hands one row to gemv, and
-    # OpenBLAS's Haswell kernels round a block's odd last row otherwise
-    step = max(_PRICE_BYTES // wide[0].nbytes // 2, 1) * 2
-    buffer = np.empty((min(step, coef.shape[0] + 1), wide.shape[1]))
+    there, coef @ atoms is the reduced cost g - s u - c w."""
+    k, size, blocks = basis.shape[1], atoms.shape[1], _products(atoms, coef.shape[0])
     best = np.full(coef.shape[0], -np.inf)
     live = np.arange(coef.shape[0])  # the rows still pivoting
     for _ in range(_EXCHANGE_PASSES):
@@ -274,19 +268,15 @@ def _best_certificate(atoms, coef, basis, signs, band, tol):
         matrix = np.ones((live.size, k, k))  # a column per basis atom
         matrix[:, 1:] = atoms[1 - k:, b].transpose(1, 0, 2)
         matrix[:, -1] += band * signs[live]
-        c = np.zeros((live.size + 1, coef.shape[1]))  # a spare zero row evens the last block
-        c[:-1] = coef[live]
-        g = np.einsum("ri,irj->rj", c[:-1, :1 - k], atoms[:1 - k, b])  # g at the basis
+        c = coef[live]
+        g = np.einsum("ri,irj->rj", c[:, :1 - k], atoms[:1 - k, b])  # g at the basis
         y = np.linalg.solve(matrix.transpose(0, 2, 1), g[..., None])[..., 0]
-        c[:-1, 1 - k:] = -y[:, 1:]
+        c[:, 1 - k:] = -y[:, 1:]
         enter, low = np.empty(live.size, dtype=int), np.empty(live.size)
-        for lo in range(0, live.size, step):
-            rows = min(step, live.size - lo)
-            even = rows + rows % 2
-            part = np.matmul(c[lo:lo + even], wide, out=buffer[:even])[:rows]
+        for lo, part in blocks(c):  # priced by blocks, each block's minima taken in cache
             j = part.argmin(axis=1)
-            low[lo:lo + step] = part[np.arange(len(j)), j]
-            enter[lo:lo + step] = np.minimum(j, size - 1)  # a padding column is the last atom
+            low[lo:lo + len(j)] = part[np.arange(len(j)), j]
+            enter[lo:lo + len(j)] = np.minimum(j, size - 1)  # a padding column is the last atom
         value = low - np.abs(y[:, -1]) * band  # y[:, -1] is c, or s where band = 0
         best[live] = np.maximum(best[live], value)
         pivot = value - y[:, 0] < -tol[live]  # no negative reduced cost: optimal
@@ -367,9 +357,11 @@ def response_bounds(design: SignalDesign, model: SystemModel,
     tol = np.tile(1e-15 * np.abs(coeffs) @ (1.0 / dists), 2)  # reduced costs above -tol are 0
     inv = 1.0 / (lam[None, :] - design.poles.array[:, None])
     kernel = np.hstack([coeffs.real, -coeffs.imag])  # g_t = kernel @ [Re inv; Im inv]
-    if n == 0:  # no multiplier: the bounds are the grid extremes
-        g = kernel @ np.vstack([inv.real, inv.imag])
-        return model.a0 * (g.min(axis=1) - pad), model.a0 * (g.max(axis=1) + pad)
+    if n == 0:  # no multiplier: the bounds are the grid extremes, priced as below
+        low, high = np.empty(len(kernel)), np.empty(len(kernel))
+        for lo, g in _products(np.vstack([inv.real, inv.imag]), len(kernel))(kernel):
+            low[lo:lo + len(g)], high[lo:lo + len(g)] = g.min(axis=1), g.max(axis=1)
+        return model.a0 * (low - pad), model.a0 * (high + pad)
     m1, m2 = (*known_moments, 0.0)[:2]
     var, u = m2 - m1 * m1, lam - m1
     atoms = np.vstack([inv.real, inv.imag, u, u * u - var][:2 + n])

@@ -1,8 +1,5 @@
 import io
 import json
-import os
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
@@ -11,7 +8,6 @@ import pytest
 
 import markovdesign.design
 from markovdesign import cli
-from markovdesign.design import verify_sup
 from markovdesign.measure import DiscreteMeasure, markov_eval, moments
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -209,9 +205,15 @@ class TestScenarioValidation:
         assert run("design", write_scenario(tmp_path, [BASE]), tmp_path) == 2
         assert "error: scenario: top level must be an object" in capsys.readouterr().err
 
-    def test_grid_size_too_small_exits_2(self, tmp_path):
+    def test_grid_size_flag_is_refused(self, tmp_path, capsys):
+        # every sup is measured on the certificate grid; the flag is gone
         path = write_scenario(tmp_path, BASE)
-        assert run("design", path, tmp_path, "--grid-size", "4") == 2
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["design", "--scenario", path, "--out", str(tmp_path / "out"),
+                      "--grid-size", "64"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --grid-size 64" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 FIG4 = json.loads((SCENARIO_DIR / "fig4_dielectric.json").read_text())
@@ -336,39 +338,6 @@ class TestDesignCommand:
         assert len(report["gammas"]) == 2
         assert report["gammas"][1] == [1.0, 0.0]
 
-    def test_grid_size_override_is_restored(self, tmp_path):
-        assert run("design", str(SCENARIO_DIR / "fig4_dielectric.json"), tmp_path,
-                   "--grid-size", "16") == 0
-        assert markovdesign.design.SUP_GRID_SIZE == 4096
-
-    @pytest.mark.parametrize("mode", sorted(ALL_MODES))
-    def test_grid_size_moves_only_epsilon_observed(self, tmp_path, mode):
-        obj = dict(BASE, design=ALL_MODES[mode])
-        path = write_scenario(tmp_path, obj)
-        reports = {}
-        for size in (None, 8, 16):
-            flag = () if size is None else ("--grid-size", str(size))
-            assert run("design", path, tmp_path / str(size), *flag) == 0
-            reports[size] = json.loads((tmp_path / str(size) / "design.json").read_text())
-            design = cli._designed(obj)[2]
-            expected = design.epsilon_observed if size is None else verify_sup(design, size)
-            assert reports[size]["epsilon_observed"] == expected
-        assert reports[8]["epsilon"] == reports[16]["epsilon"] == reports[None]["epsilon"]
-
-    def test_grid_size_runs_do_not_interact(self, tmp_path):
-        path = str(SCENARIO_DIR / "fig4_dielectric.json")
-        assert run("design", path, tmp_path / "coarse", "--grid-size", "16") == 0
-        assert run("design", path, tmp_path / "after") == 0
-        # a fresh interpreter has never seen a --grid-size
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        subprocess.run([sys.executable, "-m", "markovdesign.cli", "design", "--scenario", path,
-                        "--out", str(tmp_path / "fresh")], check=True, env=env,
-                       capture_output=True)
-        assert ((tmp_path / "after" / "design.json").read_bytes()
-                == (tmp_path / "fresh" / "design.json").read_bytes())
-
     def test_violated_certificate_exits_3(self, tmp_path, capsys):
         path = write_scenario(tmp_path, ELLIPSE_MOMENTS)
         assert run("design", path, tmp_path) == 3
@@ -399,13 +368,13 @@ class TestDesignCommand:
             assert code == 3
             assert err == [f"numeric error: {path}: the certificate epsilon does not hold"]
 
-    def test_smallest_grid_size_certifies_zero_factor(self, tmp_path):
-        # 12 frequencies on a circle in the upper half plane; the certificate
-        # grid keeps the Ehlich-Zeller bound valid however small the sup grid
+    def test_zero_factor_on_a_circle_is_certified(self, tmp_path):
+        # 12 frequencies on a circle in the upper half plane; the Ehlich-Zeller
+        # bound read from the certificate grid holds on all of [-1,1]
         omegas = 1.5 * np.exp(1j * np.pi * (np.arange(12) + 0.5) / 12)
         obj = dict(BASE, frequencies=[[w.real, w.imag] for w in omegas],
                    design={"mode": "zero_factor", "coeffs": [[-2.0, 0.0], [1.0, 0.0]]})
-        assert run("design", write_scenario(tmp_path, obj), tmp_path, "--grid-size", "8") == 0
+        assert run("design", write_scenario(tmp_path, obj), tmp_path) == 0
         report = json.loads((tmp_path / "design.json").read_text())
         assert 0.0 < report["epsilon"] < np.inf
         assert report["epsilon_observed"] <= report["epsilon"]
@@ -421,26 +390,24 @@ class TestDesignCommand:
 
 
 class TestSupMeasurement:
-    """design and verify measure epsilon_observed once, on --grid-size nodes;
-    simulate and bounds, which never write it, do not measure it."""
+    """design and verify measure epsilon_observed once, on the certificate
+    grid; simulate and bounds, which never write it, do not measure it."""
 
-    @pytest.mark.parametrize("grid", [None, 64])
     @pytest.mark.parametrize("command, calls",
                              [("design", 1), ("verify", 1), ("simulate", 0), ("bounds", 0)])
     @pytest.mark.parametrize("mode", sorted(ALL_MODES))
-    def test_sup_deviation_calls(self, tmp_path, monkeypatch, mode, command, calls, grid):
-        sizes = []
+    def test_sup_deviation_calls(self, tmp_path, monkeypatch, mode, command, calls):
+        scans = []
         scan = markovdesign.design.sup_deviation
 
-        def counted(design, grid_size):
-            sizes.append(grid_size)
-            return scan(design, grid_size)
+        def counted(design):
+            scans.append(design.mode)
+            return scan(design)
 
         monkeypatch.setattr(markovdesign.design, "sup_deviation", counted)
         path = write_scenario(tmp_path, dict(BASE, design=ALL_MODES[mode]))
-        flag = () if grid is None else ("--grid-size", str(grid))
-        assert run(command, path, tmp_path / "out", *flag) == 0
-        assert sizes == [grid or markovdesign.design.SUP_GRID_SIZE] * calls
+        assert run(command, path, tmp_path / "out") == 0
+        assert scans == [mode] * calls
 
 
 class TestVerifyCommand:

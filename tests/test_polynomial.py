@@ -11,7 +11,6 @@ from markovdesign.polynomial import (
     monic_cheb,
     monic_from_roots,
     poly_divmod,
-    poly_eval,
 )
 
 
@@ -42,7 +41,7 @@ class TestChebEval:
             p = ComplexPolynomial(tuple(cheb2poly(np.eye(m + 1)[m])))
             z = 3.0 * rng.uniform(0, 1, 100) * np.exp(2j * np.pi * rng.uniform(0, 1, 100))
             got = cheb_eval(m, z)
-            want = poly_eval(p, z)
+            want = p(z)
             assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
@@ -100,13 +99,13 @@ class TestMonicFromRoots:
 
 class TestPolyEval:
     def test_root(self):
-        assert poly_eval(ComplexPolynomial((-2.0, 1.0)), 2.0) == 0.0
+        assert ComplexPolynomial((-2.0, 1.0))(2.0) == 0.0
 
     def test_constant(self):
-        assert poly_eval(ComplexPolynomial((1.0,)), 17.0 - 3j) == 1.0
+        assert ComplexPolynomial((1.0,))(17.0 - 3j) == 1.0
 
     def test_constant_term(self):
-        assert poly_eval(ComplexPolynomial((6.5, -5.0, 1.0)), 0.0) == 6.5
+        assert ComplexPolynomial((6.5, -5.0, 1.0))(0.0) == 6.5
 
 
 class TestPolyDivmod:
@@ -143,8 +142,8 @@ class TestPolyDivmod:
             b = ComplexPolynomial(tuple(bc))
             quo, rem = poly_divmod(a, b)
             zs = rng.uniform(-1, 1, 20)
-            lhs = poly_eval(b, zs) * poly_eval(quo, zs) + poly_eval(rem, zs)
-            rhs = poly_eval(a, zs)
+            lhs = b(zs) * quo(zs) + rem(zs)
+            rhs = a(zs)
             assert np.allclose(lhs, rhs, rtol=1e-9, atol=1e-9)
 
 
@@ -176,6 +175,6 @@ class TestMonicCheb:
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 9, 16])
     def test_sup_norm_on_interval(self, m):
         nodes = np.cos(np.pi * np.arange(4096) / 4095)
-        sup = np.max(np.abs(poly_eval(monic_cheb(m), nodes)))
+        sup = np.max(np.abs(monic_cheb(m)(nodes)))
         bound = 1.0 / 2.0 ** (m - 1)
         assert bound * (1 - 1e-9) <= sup <= bound * (1 + 1e-9)

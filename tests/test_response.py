@@ -20,7 +20,6 @@ from markovdesign.response import (
     SingularFrequencyError,
     SystemModel,
     TimeGrid,
-    crest_ratio,
     model_c,
     model_z,
     response_bounds,
@@ -288,10 +287,9 @@ class TestSynthesisAndSimulation:
     @pytest.mark.parametrize("call", [
         lambda design, model, omegas, grid: synthesize_input(design, model, omegas, grid),
         lambda design, model, omegas, grid: simulate_response(design, model, omegas, MU, grid),
-        lambda design, model, omegas, grid: crest_ratio(design, omegas, grid, MU),
         lambda design, model, omegas, grid: response_bounds(design, model, omegas, [0.4], 0.0,
                                                             grid),
-    ], ids=["synthesize_input", "simulate_response", "crest_ratio", "response_bounds"])
+    ], ids=["synthesize_input", "simulate_response", "response_bounds"])
     def test_non_finite_frequency_rejected(self, call, bad):
         # a NaN frequency gave a NaN response
         model, design = dielectric_setup()
@@ -358,41 +356,6 @@ class TestSynthesisAndSimulation:
         assert v0.shape == grid.times.shape
         f0 = markov_eval(MU, model_z(model, 0.7j))
         assert v0[5] == pytest.approx(model.a0 * f0)  # t = t0 = 0
-
-
-class TestCrestRatio:
-    def test_at_least_one(self):
-        _, design = dielectric_setup()
-        grid = TimeGrid(t_start=-5.0, t_end=0.0, steps=101, t0=0.0)
-        ratio = crest_ratio(design, OMEGAS, grid, MU)
-        assert ratio >= 1.0 - 1e-12
-
-    def test_ratio_is_one_when_only_t0_sampled(self):
-        _, design = dielectric_setup()
-        grid = TimeGrid(t_start=1.0, t_end=2.0, steps=11, t0=1.0)
-        ratio = crest_ratio(design, OMEGAS, grid, MU)
-        assert ratio == pytest.approx(1.0)
-
-    def test_one_residue_per_frequency(self):
-        _, design = dielectric_setup()
-        with pytest.raises(ValueError, match="one frequency per design pole"):
-            crest_ratio(design, OMEGAS[:1], TimeGrid(-2.0, 1.0, 31),
-                        DiscreteMeasure((0.0,), (1.0,)))
-
-    def test_real_part_against_hand_computed_response(self):
-        _, design = dielectric_setup()
-        grid = TimeGrid(t_start=-3.0, t_end=1.0, steps=41, t0=0.0)
-        atoms, weights = np.array(MU.atoms), np.array(MU.weights)
-
-        def re_v(t):
-            # v(t) / a0 = sum_k alpha_k sum_j w_j / (lambda_j - z_k) exp(-i omega_k t)
-            return sum(a * np.sum(weights / (atoms - z)) * np.exp(-1j * w * t)
-                       for a, z, w in zip(design.alphas, design.poles.points, OMEGAS)).real
-
-        want = max(abs(re_v(t)) for t in grid.times if t <= 0.0) / abs(re_v(0.0))
-        assert crest_ratio(design, OMEGAS, grid, MU, real_part_only=True) == pytest.approx(
-            want, rel=1e-12)
-        assert want != pytest.approx(crest_ratio(design, OMEGAS, grid, MU), rel=1e-3)
 
 
 class TestResponseBounds:
@@ -748,11 +711,12 @@ class TestResponseBounds:
             assert_two_moment_bounds_exact(model, design, omegas, known, 0.0, grid, atoms)
 
     def test_pricing_blocks_leave_the_bounds_unchanged(self):
-        # rows are priced _PRICE_BYTES of reduced costs at a time; one byte
+        # rows are priced _PRICE_BYTES of products at a time, the grid values
+        # of g_t with no known moment as the simplex's reduced costs; one byte
         # gives two-row blocks (the fewest) and 2**40 one block of every row.
-        # Padded to whole kernel tiles, with an even row count, each reduced
-        # cost rounds the same in any block on one BLAS thread, so the
-        # envelopes agree bit for bit.  A threaded product is split where a
+        # Padded to whole kernel tiles, with an even row count, each product
+        # rounds the same in any block on one BLAS thread, so the envelopes
+        # agree bit for bit.  A threaded product is split where a
         # block's size says, and OpenBLAS's Haswell kernels then round some
         # rows otherwise, so the check runs in a one-thread interpreter
         script = textwrap.dedent(f"""
@@ -764,7 +728,7 @@ class TestResponseBounds:
                 model, omegas = cli.build_model(scenario), cli.parse_frequencies(scenario)
                 design = cli.build_design(scenario, model, omegas)
                 grid = cli.build_grid(scenario)
-                for known in ([0.4], [0.4, 0.3]):
+                for known in ([], [0.4], [0.4, 0.3]):
                     envelopes = []
                     for size in (1 << 20, 1, 1 << 40):
                         response._PRICE_BYTES = size
