@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -205,11 +208,12 @@ class TestScenarioValidation:
         assert run("design", write_scenario(tmp_path, [BASE]), tmp_path) == 2
         assert "error: scenario: top level must be an object" in capsys.readouterr().err
 
-    def test_grid_size_flag_is_refused(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_grid_size_flag_is_refused(self, tmp_path, capsys, command):
         # every sup is measured on the certificate grid; the flag is gone
         path = write_scenario(tmp_path, BASE)
         with pytest.raises(SystemExit) as exc:
-            cli.main(["design", "--scenario", path, "--out", str(tmp_path / "out"),
+            cli.main([command, "--scenario", path, "--out", str(tmp_path / "out"),
                       "--grid-size", "64"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --grid-size 64" in capsys.readouterr().err
@@ -322,6 +326,32 @@ class TestDesignCommand:
         z1 = complex(*report["z_points"][0])
         assert z1 == pytest.approx(2.5 + 0.5j)
 
+    @pytest.mark.parametrize("mode", sorted(ALL_MODES))
+    def test_report_is_the_constructors_design(self, tmp_path, mode):
+        # the report holds the certificate and the observation the
+        # constructor made on the certificate grid, and nothing measured anew
+        obj = dict(BASE, design=ALL_MODES[mode])
+        assert run("design", write_scenario(tmp_path, obj), tmp_path) == 0
+        report = json.loads((tmp_path / "design.json").read_text())
+        design = cli._designed(obj)[2]
+        assert report == json.loads(json.dumps(cli.design_report(design)))
+        assert report["epsilon_observed"] == design.epsilon_observed
+        assert report["epsilon"] == design.epsilon
+
+    def test_runs_do_not_interact(self, tmp_path):
+        path = str(SCENARIO_DIR / "fig4_dielectric.json")
+        assert run("design", str(SCENARIO_DIR / "fig6_freq_target.json"), tmp_path / "fig6") == 0
+        assert run("design", path, tmp_path / "after") == 0
+        # a fresh interpreter has run nothing before
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "markovdesign.cli", "design", "--scenario", path,
+                        "--out", str(tmp_path / "fresh")], check=True, env=env,
+                       capture_output=True, timeout=120)
+        assert ((tmp_path / "after" / "design.json").read_bytes()
+                == (tmp_path / "fresh" / "design.json").read_bytes())
+
     def test_json_is_sorted_and_indented(self, tmp_path):
         path = write_scenario(tmp_path, BASE)
         run("design", path, tmp_path)
@@ -408,6 +438,30 @@ class TestSupMeasurement:
         path = write_scenario(tmp_path, dict(BASE, design=ALL_MODES[mode]))
         assert run(command, path, tmp_path / "out") == 0
         assert scans == [mode] * calls
+
+    @pytest.mark.parametrize("command", ["simulate", "bounds"])
+    @pytest.mark.parametrize("mode", sorted(ALL_MODES))
+    def test_skipped_scan_changes_no_output(self, tmp_path, monkeypatch, mode, command):
+        # simulate and bounds build the design without its sup scan; with
+        # the scan forced on, the files are the same bytes
+        path = write_scenario(tmp_path, dict(BASE, design=ALL_MODES[mode]))
+        assert run(command, path, tmp_path / "skipped") == 0
+        scans = []
+        scan, designed = markovdesign.design.sup_deviation, cli._designed
+
+        def counted(design):
+            scans.append(design.mode)
+            return scan(design)
+
+        monkeypatch.setattr(markovdesign.design, "sup_deviation", counted)
+        monkeypatch.setattr(cli, "_designed", lambda scenario, scan=True: designed(scenario))
+        assert run(command, path, tmp_path / "scanned") == 0
+        assert scans == [mode]
+        names = sorted(p.name for p in (tmp_path / "skipped").iterdir())
+        assert names and names == sorted(p.name for p in (tmp_path / "scanned").iterdir())
+        for name in names:
+            assert ((tmp_path / "skipped" / name).read_bytes()
+                    == (tmp_path / "scanned" / name).read_bytes()), name
 
 
 class TestVerifyCommand:

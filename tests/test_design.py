@@ -469,8 +469,9 @@ class TestTargetEval:
 
 class TestVerifySup:
     @pytest.mark.parametrize("mode", sorted(ALL_MODES))
-    @pytest.mark.parametrize("poles", [PoleSet(points=DIELECTRIC_POLES), ellipse_poles(12)],
-                             ids=["dielectric", "ellipse12"])
+    @pytest.mark.parametrize("poles", [PoleSet(points=DIELECTRIC_POLES), ellipse_poles(6),
+                                       ellipse_poles(12)],
+                             ids=["dielectric", "ellipse6", "ellipse12"])
     def test_observation_matches_fine_grid(self, mode, poles):
         design = ALL_MODES[mode](poles)
         fine = max(design.deviation(chunk).max()
@@ -556,6 +557,58 @@ class TestVerifySup:
         want = sup_deviation(design)
         monkeypatch.setattr(design_module, "_lobatto_grid", None)
         assert sup_deviation(design) == want
+
+    @pytest.mark.parametrize("mode", sorted(ALL_MODES))
+    def test_one_scan_of_the_certificate_grid_starts_the_zoom(self, mode, monkeypatch):
+        # the first kernel call reads the whole certificate grid; every later
+        # one is a 65-point zoom level inside the two cells around its argmax
+        design = ALL_MODES[mode](PoleSet(points=DIELECTRIC_POLES))
+        calls = []
+        kernel = design_module._error_kernel
+
+        def recording(design):
+            inner = kernel(design)
+
+            def error(lam):
+                calls.append(lam)
+                return inner(lam)
+            return error
+
+        monkeypatch.setattr(design_module, "_error_kernel", recording)
+        lam_star, value = sup_deviation(design)
+        grid = design_module._CERTIFICATE_GRID
+        assert calls[0] is grid
+        assert [lam.size for lam in calls[1:]] == [65] * (len(calls) - 1)
+        scan = np.hypot(*kernel(design)(grid))
+        i = int(np.argmax(scan))
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+        assert all(lo <= lam.min() and lam.max() <= hi for lam in calls[1:])
+        assert lo <= lam_star <= hi
+        assert value >= scan[i]
+
+    def test_certificate_grid_is_fixed_and_read_only(self):
+        grid = design_module._CERTIFICATE_GRID
+        assert grid.size == design_module.SUP_GRID_SIZE == 4096
+        # at least 4m + 1 nodes keep the Ehlich-Zeller factor below 1/cos(pi/8)
+        assert grid.size >= 4 * design_module.MAX_POLES + 1
+        assert grid.tobytes() == _lobatto_grid(grid.size).tobytes()
+        for table in (grid, design_module._HALF_CELLS):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+
+
+class TestLobattoGrid:
+    @pytest.mark.parametrize("n", [2, 3, 65, 4096, 2 ** 20 + 1])
+    def test_ascending_nodes_with_exact_ends(self, n):
+        grid = _lobatto_grid(n)
+        assert grid.size == n and grid[0] == -1.0 and grid[-1] == 1.0
+        assert np.all(np.diff(grid) > 0.0)
+        # cos(pi k/(n - 1)) for k = n - 1, ..., 0: symmetric about 0 up to
+        # the rounding of cos
+        assert np.allclose(grid, -grid[::-1], rtol=0.0, atol=1e-15)
+        k = np.array([0, n // 2, n - 1])
+        assert np.allclose(grid[k], -np.cos(np.pi * k / (n - 1)), rtol=0.0, atol=1e-15)
+
 
 class TestRealKernel:
     """deviation sums alpha_k/(lambda - z_k) in real arithmetic; it agrees

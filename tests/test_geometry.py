@@ -99,6 +99,27 @@ class TestJoukowski:
         with pytest.raises(DegeneratePointError):
             joukowski_radius(0.3)
 
+    @pytest.mark.parametrize("zeta", [3.0, -3.0, 1.5j, -1.5j, 2.0 * np.exp(1j * np.pi / 3),
+                                      1.25 * np.exp(-2j), 1.01 * np.exp(2.5j)],
+                             ids=["right", "left", "above", "below", "first_quadrant",
+                                  "third_quadrant", "near_segment"])
+    def test_radius_of_a_joukowski_image(self, zeta):
+        # z0 = (zeta + 1/zeta)/2 has the reciprocal preimages zeta and 1/zeta,
+        # in every quadrant and on either side of the segment
+        z0 = (zeta + 1.0 / zeta) / 2.0
+        assert joukowski_radius(z0) == pytest.approx(abs(zeta), rel=1e-9)
+
+    @given(x=finite, y=finite)
+    @settings(max_examples=200)
+    def test_radius_is_symmetric_about_both_axes(self, x, y):
+        # so are the Bernstein ellipses: no branch cut shows
+        z0 = complex(x, y)
+        if segment_distance(z0) <= 1e-6:
+            return
+        big_r = joukowski_radius(z0)
+        for w in (-z0, z0.conjugate(), -z0.conjugate()):
+            assert joukowski_radius(w) == pytest.approx(big_r, rel=1e-12)
+
     @given(x=finite, y=finite)
     @settings(max_examples=200)
     def test_preimage_round_trip(self, x, y):

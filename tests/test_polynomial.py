@@ -107,6 +107,25 @@ class TestPolyEval:
     def test_constant_term(self):
         assert ComplexPolynomial((6.5, -5.0, 1.0))(0.0) == 6.5
 
+    @pytest.mark.parametrize("z", [0.5, 0.5 - 2j, np.array(0.5 - 2j), np.linspace(-1.0, 1.0, 7),
+                                   np.full((2, 3), 1.0 + 1.0j)],
+                             ids=["real", "complex", "zero_dim", "vector", "matrix"])
+    def test_shape_follows_the_argument(self, z):
+        p = ComplexPolynomial((1.0, -2.0 + 1.0j, 0.5))
+        got = p(z)
+        assert np.shape(got) == np.shape(z) and np.asarray(got).dtype == complex
+        z = np.asarray(z, dtype=complex)
+        assert np.allclose(got, 1.0 + (-2.0 + 1.0j) * z + 0.5 * z * z, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("degree", [0, 1, 4, 16, 64])
+    def test_matches_the_power_sum(self, degree):
+        rng = np.random.default_rng(degree)
+        coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        p = ComplexPolynomial(tuple(coeffs))
+        z = rng.uniform(0.0, 1.0, 50) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 50))
+        want = sum(c * z ** j for j, c in enumerate(coeffs))
+        assert np.allclose(p(z), want, rtol=1e-12, atol=1e-12 * np.abs(coeffs).sum())
+
 
 class TestPolyDivmod:
     def test_synthetic_division(self):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -356,6 +357,45 @@ class TestSynthesisAndSimulation:
         assert v0.shape == grid.times.shape
         f0 = markov_eval(MU, model_z(model, 0.7j))
         assert v0[5] == pytest.approx(model.a0 * f0)  # t = t0 = 0
+
+
+class TestPricingProducts:
+    """_products prices rows against a padded atom block, a few rows at a
+    time, for the simplex and for the envelopes with no known moment."""
+
+    @pytest.mark.parametrize("count", [1, 2, 7])
+    @pytest.mark.parametrize("size", [1, 1 << 20, 1 << 40], ids=["two_rows", "default", "one"])
+    def test_blocks_cover_every_row_in_order(self, monkeypatch, size, count):
+        rng = np.random.default_rng(count)
+        atoms = rng.standard_normal((6, 37))
+        rows = rng.standard_normal((count, 6))
+        monkeypatch.setattr(response, "_PRICE_BYTES", size)
+        blocks = response._products(atoms, count)
+        # columns past the last atom repeat it, up to a multiple of 16
+        wide = np.hstack([atoms, np.repeat(atoms[:, -1:], 11, axis=1)])
+        for live in range(1, count + 1):  # the simplex prices ever fewer rows
+            step = 2 if size == 1 else live  # an even row count, or all rows at once
+            seen = 0
+            for lo, part in blocks(rows[:live]):
+                assert lo == seen and part.shape == (min(step, live - lo), 48)
+                assert np.allclose(part, rows[lo:lo + len(part)] @ wide, rtol=1e-13, atol=1e-13)
+                seen += len(part)
+            assert seen == live
+
+    def test_buffer_is_sized_by_the_rows_it_prices(self, monkeypatch):
+        # 2**40 bytes is one block of every row: the buffer holds two rows
+        # of 2,064 columns, not 2**40 bytes
+        monkeypatch.setattr(response, "_PRICE_BYTES", 1 << 40)
+        atoms = np.ones((4, 2049))
+        tracemalloc.start()
+        try:
+            blocks = response._products(atoms, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        [(lo, part)] = list(blocks(np.ones((2, 4))))
+        assert lo == 0 and part.shape == (2, 2064) and np.all(part == 4.0)
 
 
 class TestResponseBounds:
